@@ -15,13 +15,21 @@ re-sampling offending genes *within their own kind*, which keeps
 selection pressure on the valid design space instead of wasting fitness
 evaluations on penalty scores (see DESIGN.md §5 for the ablation) and
 preserves the genotype's primitive mix.
+
+All three functions apply genes to a
+:class:`~repro.netlist.cow.CowNetlist` workspace over the original
+circuit rather than to a plain copy: the workspace shares the base's
+fanout map and lockable-wire pool (scanned once per circuit), skips the
+primitives' per-gene acyclicity guard, and is checked with one
+topological sort per genotype instead.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.errors import EvolutionError
+from repro.errors import EvolutionError, NetlistError
+from repro.locking.dmux import lockable_wires
 from repro.locking.primitives import (
     DEFAULT_ALPHABET,
     Gene,
@@ -29,6 +37,7 @@ from repro.locking.primitives import (
     primitive_for_gene,
     resolve_alphabet,
 )
+from repro.netlist.cow import CowNetlist
 from repro.netlist.netlist import Netlist
 from repro.utils.rng import derive_rng
 
@@ -47,6 +56,23 @@ def _sample_kind(alphabet: tuple[str, ...], rng) -> str:
     if len(alphabet) == 1:
         return alphabet[0]
     return alphabet[int(rng.integers(0, len(alphabet)))]
+
+
+def _workspace(original: Netlist) -> CowNetlist:
+    """A copy-on-write view of ``original`` carrying its lockable pool."""
+    lockable_wires(original)  # scanned once, cached on ``original``
+    return CowNetlist.from_base(original)
+
+
+def _check_acyclic(work: CowNetlist, original: Netlist, caller: str) -> None:
+    """The one acyclicity check per genotype that replaces the per-gene
+    guard the workspace skips."""
+    try:
+        work.topological_order()
+    except NetlistError as exc:
+        raise EvolutionError(
+            f"{original.name}: {caller} built a cyclic netlist ({exc})"
+        ) from None
 
 
 def _sample_any(work: Netlist, alphabet, kind, rng, used):
@@ -85,7 +111,7 @@ def random_genotype(
         raise EvolutionError(f"key_length must be >= 1, got {key_length}")
     names = resolve_alphabet(alphabet)
     rng = derive_rng(seed_or_rng)
-    work = original.copy()
+    work = _workspace(original)
     genes: list[Gene] = []
     used: set[tuple[str, str]] = set()
     for idx in range(key_length):
@@ -99,6 +125,7 @@ def random_genotype(
         primitive_for_gene(gene).apply_gene(work, gene, f"__tmp_k{idx}")
         used.update(gene.wires)
         genes.append(gene)
+    _check_acyclic(work, original, "random_genotype")
     return genes
 
 
@@ -109,7 +136,7 @@ def repair_genotype(
 ) -> list[Gene]:
     """Return a valid genotype, re-sampling conflicting or stale genes.
 
-    Genes are processed in order against a working copy of the netlist;
+    Genes are processed in order against a workspace over the netlist;
     a gene that no longer applies (wire consumed by an earlier gene, cycle
     risk introduced by context changes) is replaced by a freshly sampled
     gene *of the same primitive kind* — repair preserves the genotype's
@@ -121,7 +148,7 @@ def repair_genotype(
     """
     rng = derive_rng(seed_or_rng)
     kind_order = tuple(dict.fromkeys(g.kind for g in genes))
-    work = original.copy()
+    work = _workspace(original)
     used: set[tuple[str, str]] = set()
     repaired: list[Gene] = []
     for idx, gene in enumerate(genes):
@@ -137,12 +164,13 @@ def repair_genotype(
         primitive_for_gene(gene).apply_gene(work, gene, f"__tmp_k{idx}")
         used.update(gene.wires)
         repaired.append(gene)
+    _check_acyclic(work, original, "repair_genotype")
     return repaired
 
 
 def genotype_is_valid(original: Netlist, genes: Sequence[Gene]) -> bool:
     """True if ``genes`` can be applied in order without repair."""
-    work = original.copy()
+    work = _workspace(original)
     used: set[tuple[str, str]] = set()
     for gene in genes:
         if any(w in used for w in gene.wires):
@@ -152,6 +180,7 @@ def genotype_is_valid(original: Netlist, genes: Sequence[Gene]) -> bool:
             return False
         primitive.apply_gene(work, gene, f"__tmp_k{len(used)}")
         used.update(gene.wires)
+    _check_acyclic(work, original, "genotype_is_valid")
     return True
 
 

@@ -98,6 +98,10 @@ class DeltaRelocker:
             except LockingError as exc:
                 raise LockingError(f"gene {idx} inapplicable: {exc}") from exc
 
+        # The view kept the base's lockable-wire pool, which is exact only
+        # for samplers that filter out these genes' wires; the returned
+        # circuit must answer a fresh scan.
+        locked._lockable_cache = None
         # The per-gene ``check_acyclic`` guard is a no-op on the view;
         # validate the finished phenotype once instead.
         try:

@@ -255,7 +255,7 @@ def apply_gene(
 # ----------------------------------------------------------------------
 # Site sampling
 # ----------------------------------------------------------------------
-def lockable_wires(netlist: Netlist) -> list[tuple[str, str]]:
+def lockable_wires(netlist: Netlist) -> tuple[tuple[str, str], ...]:
     """All wires ``(driver, consumer_gate)`` eligible for locking.
 
     Excludes wires into or out of key gates — MUX key-gates, and any
@@ -266,7 +266,21 @@ def lockable_wires(netlist: Netlist) -> list[tuple[str, str]]:
     of the *original* design, so a genotype sampled against a working
     copy (whose inserted gates carry temporary names) rebuilds
     identically through :func:`~repro.locking.genome_lock.lock_with_genes`.
+
+    The pool is scanned once per unmutated netlist and cached on it
+    (every :class:`~repro.netlist.netlist.Netlist` mutation drops it);
+    it comes back as a tuple so no caller can corrupt the cache. A
+    :class:`~repro.netlist.cow.CowNetlist` breeding workspace keeps its
+    base's pool across gene applications instead: callers see it through
+    :func:`free_wires`, whose filter by the applied genes' wires makes it
+    exact (the pool contract of :mod:`repro.locking.primitives`).
     """
+    if netlist._lockable_cache is None:
+        netlist._lockable_cache = tuple(_scan_lockable_wires(netlist))
+    return netlist._lockable_cache
+
+
+def _scan_lockable_wires(netlist: Netlist) -> list[tuple[str, str]]:
     wires: list[tuple[str, str]] = []
     key_set = set(netlist.key_inputs)
 
@@ -292,6 +306,17 @@ def lockable_wires(netlist: Netlist) -> list[tuple[str, str]]:
     return wires
 
 
+def free_wires(
+    netlist: Netlist, used: set[tuple[str, str]]
+) -> list[tuple[str, str]]:
+    """The lockable wires of ``netlist`` not consumed by earlier genes.
+
+    Every gene sampler draws its sites from this list, by index, so its
+    order (gate order, then pin order) is part of the RNG contract.
+    """
+    return [w for w in lockable_wires(netlist) if w not in used]
+
+
 def sample_gene(
     netlist: Netlist,
     seed_or_rng=None,
@@ -305,8 +330,7 @@ def sample_gene(
     locked twice.
     """
     rng = derive_rng(seed_or_rng)
-    used = used_pins or set()
-    wires = [w for w in lockable_wires(netlist) if w not in used]
+    wires = free_wires(netlist, used_pins or set())
     if len(wires) < 2:
         return None
     for _ in range(max_tries):

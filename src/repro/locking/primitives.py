@@ -36,6 +36,19 @@ concrete gene classes. Three built-ins ship here:
     Like XOR/XNOR it leaks to constant propagation, giving the alphabet a
     deliberately weak-but-cheap member for overhead/resilience trade-offs.
 
+**The pool contract.** Every primitive samples its sites from
+:func:`~repro.locking.dmux.free_wires` — the circuit's lockable-wire
+pool minus the wires of the genes applied so far — and applying a gene
+must remove *exactly that gene's own wires* from the lockable set: the
+gates it inserts are key gates (MUX, or fed by a key input), so they add
+no lockable wire, and the wires it cuts are its own. Breeding relies on
+this: the genotype functions of :mod:`repro.ec.genotype` keep one pool
+per circuit instead of rescanning after every gene, which is exact only
+while the contract holds. ``tests/test_ec_genotype_workspace.py`` walks
+every registered primitive and checks the filtered base pool against a
+fresh scan, so a primitive that breaks the contract fails a test instead
+of silently sampling stale sites.
+
 Non-MUX primitives declare ``scoring = "scope"``: their key bits are
 invisible to link prediction, so fitness scores them with the oracle-less
 constant-propagation heuristic (the SCOPE shape used for RLL in E4/E5)
@@ -55,8 +68,8 @@ from repro.locking.dmux import (
     MuxGene,
     MuxPairInsertion,
     apply_gene as _apply_mux_gene,
+    free_wires,
     gene_applicable as _mux_gene_applicable,
-    lockable_wires,
     sample_gene as _sample_mux_gene,
 )
 from repro.locking.rll import XorInsertion
@@ -182,8 +195,9 @@ class LockPrimitive(abc.ABC):
     """One entry of the locking alphabet; see the module docstring.
 
     Implementations must be stateless (one shared instance serves every
-    engine) and deterministic given an RNG — the golden-trajectory tests
-    pin exact RNG consumption for the ``mux`` primitive.
+    engine), deterministic given an RNG — the golden-trajectory tests
+    pin exact RNG consumption for the ``mux`` primitive — and keep the
+    pool contract of the module docstring.
     """
 
     #: registry name; genes carry it as their ``kind``
@@ -271,7 +285,7 @@ class MuxPrimitive(LockPrimitive):
         freedom MuxLink exploits. RNG consumption is pinned by the
         golden trajectories; do not reorder the draws.
         """
-        wires = [w for w in lockable_wires(netlist) if w not in used]
+        wires = free_wires(netlist, used)
         if not wires:
             return None
         for _ in range(max_tries):
@@ -335,8 +349,7 @@ class _KeyGatePrimitive(LockPrimitive):
         raise LockingError(f"wire {gene.f}->{gene.g} does not exist")
 
     def sample(self, netlist, rng, used_pins=None, max_tries: int = 400):
-        used = used_pins or set()
-        wires = [w for w in lockable_wires(netlist) if w not in used]
+        wires = free_wires(netlist, used_pins or set())
         if not wires:
             return None
         for _ in range(max_tries):
@@ -378,8 +391,8 @@ class _KeyGatePrimitive(LockPrimitive):
         of its fan-out wires (key bit preserved)."""
         wires = [
             w
-            for w in lockable_wires(netlist)
-            if w not in used and w[0] == gene.f and w[1] != gene.g
+            for w in free_wires(netlist, used)
+            if w[0] == gene.f and w[1] != gene.g
         ]
         if not wires:
             return None

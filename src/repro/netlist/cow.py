@@ -1,16 +1,20 @@
-"""Copy-on-write netlist view for delta re-locking.
+"""Copy-on-write netlist view for delta re-locking and breeding.
 
 :class:`CowNetlist` is a :class:`~repro.netlist.netlist.Netlist` seeded
 from an immutable *base* design whose graph caches are maintained
 **incrementally** instead of being invalidated wholesale on every
-mutation. The plain ``Netlist`` drops its fanout map and topological
-order after each ``add_gate``/``rewire_pin`` and rebuilds both from
-scratch on the next query — fine for one-shot construction, ruinous for
-the GA's fitness loop, which re-locks the same base circuit once per
-candidate and pays two full fanout rebuilds plus one full Kahn sort *per
-gene* (see ``benchmarks/bench_delta_relock.py``).
+mutation. The plain ``Netlist`` drops its fanout map, topological order
+and lockable-wire pool after each ``add_gate``/``rewire_pin`` and
+rebuilds them from scratch on the next query — fine for one-shot
+construction, ruinous for the GA, which applies genotypes to the same
+base circuit over and over: once per candidate to re-lock it for fitness
+(:class:`~repro.locking.delta.DeltaRelocker`), and once per sampled,
+repaired or validated genotype while breeding
+(:mod:`repro.ec.genotype`). On a plain copy each gene paid two full
+fanout rebuilds, one full Kahn sort and one full lockable-wire scan
+(see ``benchmarks/bench_delta_relock.py``).
 
-The view changes exactly two behaviours:
+The view changes three behaviours:
 
 * **Incremental fanouts.** The fanout map starts as a shallow snapshot
   of the base's map, sharing the base's per-signal consumer lists. A
@@ -19,18 +23,29 @@ The view changes exactly two behaviours:
   copied, and ``fanouts()``/``has_path`` never trigger a rebuild.
 * **Deferred acyclicity.** :meth:`check_acyclic` is a no-op. The locking
   primitives call it defensively after every insertion, but their
-  ``_check_gene`` reachability tests already reject cycle-creating genes
-  *before* mutating; :class:`~repro.locking.delta.DeltaRelocker` runs
-  one full :meth:`topological_order` per candidate at the end, so a
-  constructed phenotype is still verified — once, not once per gene.
+  applicability checks already reject cycle-creating genes *before*
+  mutating; the view's owner (the delta re-locker, the genotype
+  functions) runs one full :meth:`topological_order` per genotype at the
+  end, so every genotype is still verified — once, not once per gene.
+* **Retained lockable-wire pool.** The view starts with the base's
+  cached pool and mutations keep it. Applying a gene of any registered
+  primitive removes exactly that gene's own wires from the pool (the
+  pool contract of :mod:`repro.locking.primitives`), and every sampler
+  filters the pool by the wires of the genes applied so far, so the
+  filtered base pool *is* the filtered fresh scan. Only the code that
+  applied the genes can filter them out, so a view mutated other than
+  by applying genes must not be asked for its pool, and a view handed
+  on must drop it (the delta re-locker does).
 
 The gates dict is copied from the base (gates are immutable, so a dict
 copy is a deep copy), and insertion order matches a scratch
 ``base.copy()`` build exactly — every iteration-order-sensitive consumer
 (graph extraction, simulation, metrics) sees the identical structure.
 The cached topological order is still invalidated by mutations and
-recomputed lazily; only the *fanout* cache is incremental, because that
-is the one the locking hot path hammers.
+recomputed lazily.
+
+A pickled view drops its caches like any netlist and rebuilds its fanout
+map (now private to it) on unpickle, so it never needs its base.
 """
 
 from __future__ import annotations
@@ -73,15 +88,24 @@ class CowNetlist(Netlist):
         # until a mutation owns them.
         view._fanout_cache = dict(fanouts)
         view._owned = set()
+        view._lockable_cache = base._lockable_cache
         return view
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # Pickling dropped the fanout map, and a view never rebuilds it
+        # on demand; rebuild it here, owned outright.
+        self._fanout_cache = Netlist.fanouts(self)
+        self._owned = set(self._fanout_cache)
 
     # ------------------------------------------------------------------
     # incremental cache maintenance
     # ------------------------------------------------------------------
     def _invalidate(self) -> None:
         # Mutations still invalidate the topological order (recomputed
-        # lazily, at most once per candidate), but never the fanout map:
-        # the overridden mutators below patch it incrementally.
+        # lazily, at most once per candidate), but never the fanout map
+        # (the overridden mutators below patch it incrementally) nor the
+        # lockable-wire pool (kept under the pool contract).
         self._topo_cache = None
 
     def _own(self, signal: str) -> list[tuple[str, int]]:
@@ -97,7 +121,7 @@ class CowNetlist(Netlist):
         return self._fanout_cache
 
     def check_acyclic(self) -> None:
-        """No-op: acyclicity is validated once per candidate by the
+        """No-op: acyclicity is validated once per genotype by the
         caller (the gene-level reachability checks reject cycle-creating
         insertions before any mutation happens)."""
 

@@ -30,11 +30,13 @@ class Netlist:
 
     Notes
     -----
-    Mutation invalidates cached topological order / fanout maps; caches are
-    rebuilt lazily on the next query. All mutating methods validate their
-    arguments eagerly so a netlist can never hold a dangling reference, but
-    acyclicity is only enforced when a topological order is requested (or
-    via :func:`repro.netlist.validate.validate_netlist`), because locking
+    Mutation invalidates the cached topological order, fanout map and
+    lockable-wire pool (see :func:`repro.locking.dmux.lockable_wires`);
+    caches are rebuilt lazily on the next query and never pickled. All
+    mutating methods validate their arguments eagerly so a netlist can
+    never hold a dangling reference, but acyclicity is only enforced when
+    a topological order is requested (or via
+    :func:`repro.netlist.validate.validate_netlist`), because locking
     transformations check reachability *before* inserting.
     """
 
@@ -46,6 +48,16 @@ class Netlist:
         self.gates: dict[str, Gate] = {}
         self._topo_cache: list[str] | None = None
         self._fanout_cache: dict[str, list[tuple[str, int]]] | None = None
+        self._lockable_cache: tuple[tuple[str, str], ...] | None = None
+
+    def __getstate__(self) -> dict:
+        # Derived caches are rebuilt on demand; shipping them would grow
+        # the pickle a process pool sends to every worker by half again.
+        state = self.__dict__.copy()
+        state["_topo_cache"] = None
+        state["_fanout_cache"] = None
+        state["_lockable_cache"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Introspection
@@ -184,6 +196,7 @@ class Netlist:
     def _invalidate(self) -> None:
         self._topo_cache = None
         self._fanout_cache = None
+        self._lockable_cache = None
 
     # ------------------------------------------------------------------
     # Graph queries
