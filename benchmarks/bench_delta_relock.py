@@ -4,7 +4,8 @@ Not a paper experiment: this bench pins the two hot-path wins of the
 raw-speed fitness core. (1) ``DeltaRelocker`` applies a genotype as
 incremental deltas to a shared immutable base netlist (copy-on-write
 fanout bookkeeping, one final acyclicity check) instead of deep-rebuilding
-per candidate via ``lock_with_genes``. (2) ``score_links`` on the MuxLink
+per candidate like the plain-copy reference loop
+(``tests/oracles.py``). (2) ``score_links`` on the MuxLink
 predictors scores a whole population of candidate links per call —
 feature extraction, BFS distance maps and type histograms amortised
 across the batch — instead of once per link.
@@ -37,6 +38,10 @@ except ImportError:  # direct `python benchmarks/bench_....py` execution
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     from conftest import print_header, scaled
 
+# The reference side is a test oracle, kept under tests/.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import scratch_lock_with_genes  # noqa: E402
+
 from repro.attacks.muxlink.graph import extract_observed
 from repro.circuits import load_circuit
 from repro.ec.genotype import random_genotype
@@ -64,7 +69,7 @@ def _time_relock(base, genotype, repeats) -> tuple[float, float]:
 
     t0 = time.perf_counter()
     for _ in range(repeats):
-        scratch = lock_with_genes(base, genotype)
+        scratch = scratch_lock_with_genes(base, genotype)
     scratch_s = (time.perf_counter() - t0) / repeats
 
     assert delta.netlist.structurally_equal(scratch.netlist)

@@ -1,15 +1,16 @@
 """Batched GNN pipeline — block-diagonal scoring/training vs the scalar loop.
 
 Not a paper experiment: this bench pins the raw-speed win of batching
-the enclosing-subgraph GNN (``repro.attacks.muxlink.gnn``). With
-``batch="auto"`` a whole population of candidate links is scored per
-call — vectorised subgraph extraction over the CSR adjacency snapshot,
-one block-diagonal sparse conv pass over the stacked node set, segment
-centre+mean readout, one MLP-head batch — and training minibatches run
-the same machinery forward and backward. ``batch="off"`` is the
-historical one-subgraph-at-a-time path.
+the enclosing-subgraph GNN (``repro.attacks.muxlink.gnn``). A whole
+population of candidate links is scored per call — vectorised subgraph
+extraction over the CSR adjacency snapshot, one block-diagonal sparse
+conv pass over the stacked node set, segment centre+mean readout, one
+MLP-head batch — and training minibatches run the same machinery
+forward and backward. The reference side is the historical
+one-subgraph-at-a-time pipeline, kept as a test oracle in
+``tests/oracles.py``.
 
-The two modes are numerically equivalent but not bit-identical (batched
+The two pipelines are numerically equivalent but not bit-identical (batched
 BLAS reductions reassociate floating-point sums), so the bench asserts
 ``max |Δlogit|`` under a tight tolerance at every scale, plus — at full
 scale — the batched path scoring >= 64 links at >= 4x the scalar loop.
@@ -35,6 +36,10 @@ try:
 except ImportError:  # direct `python benchmarks/bench_....py` execution
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     from conftest import print_header, scaled
+
+# The reference side is a test oracle, kept under tests/.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import scalar_fit, scalar_score_links  # noqa: E402
 
 from repro.attacks.muxlink.gnn import GnnLinkPredictor
 from repro.attacks.muxlink.graph import extract_observed
@@ -84,14 +89,14 @@ def run_gnn_batch(out_json: str | None = None) -> dict:
     pairs = _candidate_links(graph, queries)
 
     # -- training: batched minibatches vs the per-sample loop ----------
-    auto = GnnLinkPredictor(epochs=epochs, n_train=n_train, batch="auto")
+    auto = GnnLinkPredictor(epochs=epochs, n_train=n_train)
     t0 = time.perf_counter()
     auto.fit(graph, np.random.default_rng(5))
     fit_auto_s = time.perf_counter() - t0
 
-    off = GnnLinkPredictor(epochs=epochs, n_train=n_train, batch="off")
+    off = GnnLinkPredictor(epochs=epochs, n_train=n_train)
     t0 = time.perf_counter()
-    off.fit(graph, np.random.default_rng(5))
+    scalar_fit(off, graph, np.random.default_rng(5))
     fit_off_s = time.perf_counter() - t0
 
     assert np.allclose(auto.train_history, off.train_history, atol=1e-8), (
@@ -106,7 +111,7 @@ def run_gnn_batch(out_json: str | None = None) -> dict:
 
     t0 = time.perf_counter()
     for _ in range(score_repeats):
-        looped = np.array([auto.score_link(u, v) for u, v in pairs])
+        looped = scalar_score_links(auto, pairs)
     looped_s = (time.perf_counter() - t0) / score_repeats
 
     max_dlogit = float(np.max(np.abs(batched - looped))) if pairs else 0.0

@@ -164,6 +164,10 @@ class ExperimentSpec:
                 f"unknown circuit {self.circuit!r}; available: "
                 f"{', '.join(available_circuits())} or rand_<gates>_<seed>"
             )
+        for name in ("key_length", "seed", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SpecError(f"{name} must be an integer, got {value!r}")
         if self.key_length < 1:
             raise SpecError(f"key_length must be >= 1, got {self.key_length}")
         if self.workers < 1:

@@ -13,38 +13,31 @@ Per layer (``S`` = row-normalised adjacency with self-loops, a constant):
 with gradients ``dW_l = (S Z_{l-1})^T dA`` and
 ``dZ_{l-1} = S^T (dA W_l^T)`` where ``dA = dZ_l · (1 - Z_l²)``.
 
-Scoring and training run in one of two modes (``batch=`` /
-``REPRO_GNN_BATCH``):
-
-* ``"auto"`` (default) — a whole population of candidate links is
-  scored per call: the enclosing subgraphs are extracted in one
-  vectorised pass, their row-normalised adjacencies assembled into one
-  block-diagonal sparse operator (:class:`_BlockDiagAdj`), the conv
-  stack runs once over the stacked node set, and the centre+mean
-  readout feeds the MLP head one ``(B, 3·emb)`` batch. Training
-  minibatches reuse the same machinery forward *and* backward.
-* ``"off"`` — the historical one-subgraph-at-a-time path, byte-for-byte
-  (batched reductions reassociate floating-point sums, so the two modes
-  agree only to ~1e-9 in the logits; ``benchmarks/bench_gnn_batch.py``
-  asserts that tolerance).
+Scoring and training are batched: a whole population of candidate
+links is scored per call — the enclosing subgraphs are extracted in one
+vectorised pass, their row-normalised adjacencies assembled into one
+block-diagonal sparse operator (:class:`_BlockDiagAdj`), the conv stack
+runs once over the stacked node set, and the centre+mean readout feeds
+the MLP head one ``(B, 3·emb)`` batch. Training minibatches reuse the
+same machinery forward *and* backward. The historical
+one-subgraph-at-a-time pipeline lives on only as a test oracle
+(``tests/oracles.py``); the two agree to ~1e-9 in the logits, because
+batched reductions reassociate floating-point sums.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 
 from repro.attacks.muxlink.features import (
     make_training_pairs,
-    subgraph_feature_matrix,
     subgraph_feature_matrix_stack,
 )
 from repro.attacks.muxlink.graph import ObservedGraph
 from repro.attacks.muxlink.subgraph import (
     EnclosingSubgraph,
-    extract_enclosing_subgraph,
     extract_enclosing_subgraphs,
 )
 from repro.errors import AttackError
@@ -55,10 +48,6 @@ from repro.ml.losses import bce_with_logits
 from repro.ml.network import Sequential
 from repro.ml.optim import Adam
 from repro.utils.rng import derive_rng, spawn_seeds
-
-#: environment variable steering the default GNN batching mode
-#: (mirrors ``REPRO_RELOCK``): ``auto`` or ``off``.
-BATCH_ENV = "REPRO_GNN_BATCH"
 
 #: batch-size buckets for the links-per-call histogram (powers of two,
 #: not latencies).
@@ -76,32 +65,6 @@ _GNN_STAGE_SECONDS = obs_metrics.METRICS.histogram(
     "Batched GNN scoring wall time split by stage",
     labels=("stage",),
 )
-_SCALAR_FALLBACK = obs_metrics.METRICS.counter(
-    "autolock_predictor_scalar_fallback_total",
-    "Link-scoring calls that took a per-link scalar path instead of a "
-    "batched one, by predictor and reason",
-    labels=("predictor", "reason"),
-)
-
-
-def resolve_gnn_batch(batch: str | None) -> str:
-    """Normalise the GNN batching mode: ``"auto"``, ``"off"``, or None.
-
-    ``None`` defers to the :data:`BATCH_ENV` environment variable and
-    finally to ``"auto"``. ``"off"`` preserves the scalar
-    one-subgraph-at-a-time pipeline byte-for-byte — use it when a
-    pinned snapshot must not move by even an ulp, or when bisecting a
-    suspected batched-path regression.
-    """
-    if batch is None:
-        batch = os.environ.get(BATCH_ENV, "auto")
-    if batch not in ("auto", "off"):
-        raise AttackError(
-            f"gnn batch mode must be 'auto' or 'off', got {batch!r}"
-        )
-    return batch
-
-
 def normalized_adjacency(adj: np.ndarray) -> np.ndarray:
     """Row-normalised ``A + I`` (mean-aggregation message passing)."""
     a_hat = adj + np.eye(len(adj))
@@ -255,7 +218,6 @@ class GnnLinkPredictor:
         n_train: int = 220,
         max_nodes: int = 100,
         max_label: int = 8,
-        batch: str | None = None,
     ) -> None:
         self.hidden_dims = hidden_dims
         self.mlp_hidden = mlp_hidden
@@ -265,7 +227,6 @@ class GnnLinkPredictor:
         self.n_train = n_train
         self.max_nodes = max_nodes
         self.max_label = max_label
-        self.batch = resolve_gnn_batch(batch)
         self._graph: ObservedGraph | None = None
         self._conv: _GraphConvStack | None = None
         self._head: Sequential | None = None
@@ -289,28 +250,6 @@ class GnnLinkPredictor:
                 Linear(self.mlp_hidden, 1, seed_or_rng=seeds[2], name="out"),
             ]
         )
-
-    def _forward(self, sub: EnclosingSubgraph) -> tuple[float, dict]:
-        """Logit for one subgraph; returns backward context."""
-        assert self._conv is not None and self._head is not None
-        graph = self._graph
-        x = subgraph_feature_matrix(graph, sub, self.max_label)
-        s = normalized_adjacency(sub.adj)
-        h = self._conv.forward(s, x)  # (n, emb)
-        n = h.shape[0]
-        readout = np.concatenate([h[0], h[1], h.mean(axis=0)]).reshape(1, -1)
-        logit = self._head.forward(readout, train=True)
-        ctx = {"n": n, "emb": h.shape[1]}
-        return float(logit[0, 0]), ctx
-
-    def _backward(self, d_logit: float, ctx: dict) -> None:
-        assert self._conv is not None and self._head is not None
-        d_read = self._head.backward(np.array([[d_logit]]))[0]
-        emb, n = ctx["emb"], ctx["n"]
-        d_h = np.tile(d_read[2 * emb :] / n, (n, 1))
-        d_h[0] += d_read[:emb]
-        d_h[1] += d_read[emb : 2 * emb]
-        self._conv.backward(d_h)
 
     def _forward_batch(
         self, subs: list[EnclosingSubgraph], train: bool = False
@@ -338,7 +277,7 @@ class GnnLinkPredictor:
         return logits, ctx
 
     def _backward_batch(self, d_logits: np.ndarray, ctx: dict) -> None:
-        """Batched mirror of :meth:`_backward` with segment bookkeeping."""
+        """Backward through :meth:`_forward_batch`'s segment readout."""
         assert self._conv is not None and self._head is not None
         d_read = self._head.backward(d_logits.reshape(-1, 1))  # (B, 3*emb)
         emb = ctx["emb"]
@@ -364,17 +303,9 @@ class GnnLinkPredictor:
         pairs, labels = make_training_pairs(graph, self.n_train, rng)
         if not pairs:
             raise AttackError("observed graph has no wires to train on")
-        if self.batch == "off":
-            subs = [
-                extract_enclosing_subgraph(
-                    graph, u, v, self.hops, self.max_nodes, self.max_label
-                )
-                for u, v in pairs
-            ]
-        else:
-            subs = extract_enclosing_subgraphs(
-                graph, pairs, self.hops, self.max_nodes, self.max_label
-            )
+        subs = extract_enclosing_subgraphs(
+            graph, pairs, self.hops, self.max_nodes, self.max_label
+        )
         optimizer = Adam(self.params(), lr=self.lr)
         self.train_history = []
         order = np.arange(len(subs))
@@ -384,58 +315,32 @@ class GnnLinkPredictor:
             losses = []
             for start in range(0, len(order), batch):
                 idx = order[start : start + batch]
-                if self.batch == "off":
-                    for i in idx:
-                        logit, ctx = self._forward(subs[int(i)])
-                        loss, d = bce_with_logits(
-                            np.array([logit]), np.array([labels[int(i)]])
-                        )
-                        self._backward(float(d[0]), ctx)
-                        losses.append(loss)
-                else:
-                    logits, ctx = self._forward_batch(
-                        [subs[int(i)] for i in idx], train=True
-                    )
-                    # reduction="sum" makes the one batched backward
-                    # gradient-equivalent to len(idx) per-sample passes;
-                    # the repeated batch-mean keeps train_history the
-                    # per-sample epoch mean either way.
-                    loss_sum, d = bce_with_logits(
-                        logits, labels[idx], reduction="sum"
-                    )
-                    self._backward_batch(d, ctx)
-                    losses.extend([loss_sum / len(idx)] * len(idx))
+                logits, ctx = self._forward_batch(
+                    [subs[int(i)] for i in idx], train=True
+                )
+                # reduction="sum" makes the one batched backward
+                # gradient-equivalent to len(idx) per-sample passes; the
+                # repeated batch-mean keeps train_history the per-sample
+                # epoch mean.
+                loss_sum, d = bce_with_logits(
+                    logits, labels[idx], reduction="sum"
+                )
+                self._backward_batch(d, ctx)
+                losses.extend([loss_sum / len(idx)] * len(idx))
                 optimizer.step()
             self.train_history.append(float(np.mean(losses)))
 
     def score_link(self, u: int, v: int) -> float:
-        """Logit that ``u`` truly drives ``v`` (always the scalar path)."""
-        if self._graph is None or self._conv is None:
-            raise AttackError("predictor not fitted")
-        sub = extract_enclosing_subgraph(
-            self._graph, u, v, self.hops, self.max_nodes, self.max_label
-        )
-        logit, _ = self._forward(sub)
-        return logit
+        """Logit that ``u`` truly drives ``v``."""
+        return float(self.score_links([(u, v)])[0])
 
     def score_links(self, pairs: list[tuple[int, int]]) -> np.ndarray:
-        """Logits for many links in one block-diagonal batched pass.
-
-        With ``batch="off"`` (or a degenerate batch) this is the
-        historical per-link loop, byte-identical to
-        ``[score_link(u, v) for u, v in pairs]``.
-        """
+        """Logits for many links in one block-diagonal batched pass."""
         if self._graph is None or self._conv is None:
             raise AttackError("predictor not fitted")
         _GNN_BATCH_LINKS.observe(len(pairs))
-        if self.batch == "off" or len(pairs) < 2:
-            _SCALAR_FALLBACK.inc(
-                predictor=self.name,
-                reason="batch_off" if self.batch == "off" else "tiny_batch",
-            )
-            return np.array(
-                [self.score_link(u, v) for u, v in pairs], dtype=np.float64
-            )
+        if not pairs:
+            return np.zeros(0, dtype=np.float64)
         started = time.perf_counter()
         subs = extract_enclosing_subgraphs(
             self._graph, pairs, self.hops, self.max_nodes, self.max_label

@@ -136,14 +136,9 @@ def _parse_alphabet(value: str | None) -> tuple[str, ...] | None:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     from repro.api import ExperimentSpec, run_experiment
-    from repro.errors import ReproError
     from repro.io import save_locked_design
 
-    try:
-        alphabet = _parse_alphabet(args.alphabet)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    alphabet = _parse_alphabet(args.alphabet)
     spec = ExperimentSpec(
         circuit=args.circuit,
         key_length=args.key_length,
@@ -182,27 +177,22 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api import ExperimentSpec, run_experiment
-    from repro.errors import ReproError
 
-    try:
-        alphabet = _parse_alphabet(args.alphabet)
-        spec = ExperimentSpec.from_file(args.spec)
-        if args.workers is not None:
-            spec = spec.with_updates(workers=args.workers)
-        if args.cache is not None:
-            spec = spec.with_updates(cache_path=args.cache)
-        if args.store is not None:
-            spec = spec.with_updates(store=args.store)
-        if args.async_mode is not None:
-            spec = spec.with_updates(async_mode=args.async_mode)
-        if args.trace is not None:
-            spec = spec.with_updates(trace=args.trace)
-        if alphabet is not None:
-            spec = spec.with_updates(alphabet=alphabet)
-        result = run_experiment(spec, out_dir=args.out)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    alphabet = _parse_alphabet(args.alphabet)
+    spec = ExperimentSpec.from_file(args.spec)
+    if args.workers is not None:
+        spec = spec.with_updates(workers=args.workers)
+    if args.cache is not None:
+        spec = spec.with_updates(cache_path=args.cache)
+    if args.store is not None:
+        spec = spec.with_updates(store=args.store)
+    if args.async_mode is not None:
+        spec = spec.with_updates(async_mode=args.async_mode)
+    if args.trace is not None:
+        spec = spec.with_updates(trace=args.trace)
+    if alphabet is not None:
+        spec = spec.with_updates(alphabet=alphabet)
+    result = run_experiment(spec, out_dir=args.out)
     print(result.describe())
     for name, value in result.metrics.items():
         row = getattr(value, "as_row", None)
@@ -214,60 +204,55 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.api import SweepSpec, run_sweep
-    from repro.errors import ReproError
 
-    try:
-        alphabet = _parse_alphabet(args.alphabet)
-        sweep = SweepSpec.from_file(args.spec)
-        overrides = {}
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if args.cache is not None:
-            overrides["cache_path"] = args.cache
-        if args.store is not None:
-            overrides["store"] = args.store
-        if args.async_mode is not None:
-            overrides["async_mode"] = args.async_mode
-        if args.trace is not None:
-            overrides["trace"] = args.trace
-        if overrides:
-            sweep = dataclasses.replace(sweep, **overrides)
-        if alphabet is not None:
-            from repro.api.spec import MERGE_AXIS_PREFIX
+    alphabet = _parse_alphabet(args.alphabet)
+    sweep = SweepSpec.from_file(args.spec)
+    overrides = {}
+    if args.workers is not None:
+        overrides["workers"] = args.workers
+    if args.cache is not None:
+        overrides["cache_path"] = args.cache
+    if args.store is not None:
+        overrides["store"] = args.store
+    if args.async_mode is not None:
+        overrides["async_mode"] = args.async_mode
+    if args.trace is not None:
+        overrides["trace"] = args.trace
+    if overrides:
+        sweep = dataclasses.replace(sweep, **overrides)
+    if alphabet is not None:
+        from repro.api.spec import MERGE_AXIS_PREFIX
 
-            axis_sets_alphabet = any(
-                key == "alphabet"
-                or (
-                    key.startswith(MERGE_AXIS_PREFIX)
-                    and any(
-                        isinstance(v, dict) and "alphabet" in v
-                        for v in values
-                    )
+        axis_sets_alphabet = any(
+            key == "alphabet"
+            or (
+                key.startswith(MERGE_AXIS_PREFIX)
+                and any(
+                    isinstance(v, dict) and "alphabet" in v
+                    for v in values
                 )
-                for key, values in sweep.axes.items()
             )
-            if axis_sets_alphabet:
-                # An axis value would silently override the base field
-                # during expansion; refuse rather than half-apply.
-                print(
-                    "error: sweep spec already sweeps an 'alphabet' axis; "
-                    "--alphabet would be overridden — drop one of the two",
-                    file=sys.stderr,
-                )
-                return 2
-            # Applies to every expanded point, like --workers / --cache.
-            sweep = dataclasses.replace(
-                sweep, base=sweep.base.with_updates(alphabet=alphabet)
-            )
-        result = run_sweep(
-            sweep,
-            out_dir=args.out,
-            distributed=args.workers_distributed,
-            resume=args.resume,
+            for key, values in sweep.axes.items()
         )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if axis_sets_alphabet:
+            # An axis value would silently override the base field
+            # during expansion; refuse rather than half-apply.
+            print(
+                "error: sweep spec already sweeps an 'alphabet' axis; "
+                "--alphabet would be overridden — drop one of the two",
+                file=sys.stderr,
+            )
+            return 2
+        # Applies to every expanded point, like --workers / --cache.
+        sweep = dataclasses.replace(
+            sweep, base=sweep.base.with_updates(alphabet=alphabet)
+        )
+    result = run_sweep(
+        sweep,
+        out_dir=args.out,
+        distributed=args.workers_distributed,
+        resume=args.resume,
+    )
     for run in result.results:
         print(run.describe())
     print(
@@ -291,45 +276,41 @@ def _cmd_coevo(args: argparse.Namespace) -> int:
     import json
 
     from repro.api import CoevoSpec, run_coevo
-    from repro.errors import ReproError, SpecError
+    from repro.errors import SpecError
 
-    try:
-        alphabet = _parse_alphabet(args.alphabet)
-        attacker: dict = {}
-        if args.attacker is not None:
-            try:
-                attacker = json.loads(args.attacker)
-            except json.JSONDecodeError as exc:
-                raise SpecError(
-                    f"--attacker is not valid JSON: {exc}"
-                ) from exc
-            if not isinstance(attacker, dict):
-                raise SpecError(
-                    f"--attacker must be a JSON object of attacker-genome "
-                    f"fields, got {attacker!r}"
-                )
-        if args.predictor is not None:
-            attacker["predictor"] = args.predictor
-        spec = CoevoSpec(
-            circuit=args.circuit,
-            key_length=args.key_length,
-            epochs=args.epochs,
-            lock_population=args.lock_pop,
-            lock_generations=args.lock_generations,
-            attacker_population=args.attacker_pop,
-            attacker=attacker,
-            seed=args.seed,
-            workers=args.workers,
-            cache_path=args.cache,
-            store=args.store,
-            trace=args.trace,
-        )
-        if alphabet is not None:
-            spec = spec.with_updates(alphabet=alphabet)
-        result = run_coevo(spec, out_dir=args.out)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    alphabet = _parse_alphabet(args.alphabet)
+    attacker: dict = {}
+    if args.attacker is not None:
+        try:
+            attacker = json.loads(args.attacker)
+        except json.JSONDecodeError as exc:
+            raise SpecError(
+                f"--attacker is not valid JSON: {exc}"
+            ) from exc
+        if not isinstance(attacker, dict):
+            raise SpecError(
+                f"--attacker must be a JSON object of attacker-genome "
+                f"fields, got {attacker!r}"
+            )
+    if args.predictor is not None:
+        attacker["predictor"] = args.predictor
+    spec = CoevoSpec(
+        circuit=args.circuit,
+        key_length=args.key_length,
+        epochs=args.epochs,
+        lock_population=args.lock_pop,
+        lock_generations=args.lock_generations,
+        attacker_population=args.attacker_pop,
+        attacker=attacker,
+        seed=args.seed,
+        workers=args.workers,
+        cache_path=args.cache,
+        store=args.store,
+        trace=args.trace,
+    )
+    if alphabet is not None:
+        spec = spec.with_updates(alphabet=alphabet)
+    result = run_coevo(spec, out_dir=args.out)
     print(result.describe())
     for epoch in result.record["epochs"]:
         best = epoch["attacker_best"]
@@ -360,7 +341,6 @@ def _apply_token(token: str | None) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
     from repro.serve import TOKEN_ENV, CampaignServer
 
     token = args.token
@@ -373,18 +353,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if not token:
             token = secrets.token_urlsafe(16)
             generated = True
-    try:
-        server = CampaignServer(
-            args.path,
-            backend=args.backend,
-            host=args.host,
-            port=args.port,
-            token=token,
-            results_path=args.results,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    server = CampaignServer(
+        args.path,
+        backend=args.backend,
+        host=args.host,
+        port=args.port,
+        token=token,
+        results_path=args.results,
+    )
     print(f"campaign server: {server.url} (store {server.store_path})")
     if generated:
         print(f"token (generated): {token}")
@@ -404,7 +380,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.api import SweepSpec
     from repro.dist import SweepScheduler, Worker
-    from repro.errors import ReproError
 
     _apply_token(args.token)
     if args.store is not None:
@@ -417,50 +392,46 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             )
             return 2
         args.store_path = args.store
-    try:
-        if args.spec is not None:
-            sweep = SweepSpec.from_file(args.spec)
-            overrides = {}
-            if args.store_path is not None:
-                overrides["cache_path"] = args.store_path
-            if args.backend is not None:
-                overrides["store"] = args.backend
-            if overrides:
-                sweep = dataclasses.replace(sweep, **overrides)
-            # Idempotent: rows already enqueued (by the scheduler or a
-            # sibling worker) are left exactly as they are.
-            scheduler = SweepScheduler(sweep)
-            scheduler.enqueue()
-            store_path, backend = sweep.cache_path, sweep.store
-            sweep_id = scheduler.sweep_id
-        else:
-            if args.store_path is None or args.sweep_id is None:
-                print(
-                    "error: worker needs either --spec SWEEP.json or both "
-                    "a store path and --sweep-id",
-                    file=sys.stderr,
-                )
-                return 2
-            store_path, backend = args.store_path, args.backend
-            sweep_id = args.sweep_id
-        worker = Worker(
-            store_path=str(store_path),
-            sweep_id=sweep_id,
-            backend=backend,
-            lease_ttl=args.ttl,
-            max_points=args.max_points,
-            trace=args.trace,
-        )
-        from repro.obs import configure_logging
+    if args.spec is not None:
+        sweep = SweepSpec.from_file(args.spec)
+        overrides = {}
+        if args.store_path is not None:
+            overrides["cache_path"] = args.store_path
+        if args.backend is not None:
+            overrides["store"] = args.backend
+        if overrides:
+            sweep = dataclasses.replace(sweep, **overrides)
+        # Idempotent: rows already enqueued (by the scheduler or a
+        # sibling worker) are left exactly as they are.
+        scheduler = SweepScheduler(sweep)
+        scheduler.enqueue()
+        store_path, backend = sweep.cache_path, sweep.store
+        sweep_id = scheduler.sweep_id
+    else:
+        if args.store_path is None or args.sweep_id is None:
+            print(
+                "error: worker needs either --spec SWEEP.json or both "
+                "a store path and --sweep-id",
+                file=sys.stderr,
+            )
+            return 2
+        store_path, backend = args.store_path, args.backend
+        sweep_id = args.sweep_id
+    worker = Worker(
+        store_path=str(store_path),
+        sweep_id=sweep_id,
+        backend=backend,
+        lease_ttl=args.ttl,
+        max_points=args.max_points,
+        trace=args.trace,
+    )
+    from repro.obs import configure_logging
 
-        configure_logging(
-            "DEBUG" if args.verbose else None, worker_id=worker.worker_id
-        )
-        print(f"worker {worker.worker_id} joining sweep {sweep_id} on {store_path}")
-        report = worker.run()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    configure_logging(
+        "DEBUG" if args.verbose else None, worker_id=worker.worker_id
+    )
+    print(f"worker {worker.worker_id} joining sweep {sweep_id} on {store_path}")
+    report = worker.run()
     print(report.describe())
     return 0
 
@@ -1079,10 +1050,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    The one error boundary: any library error a subcommand lets escape
+    prints as ``error: <message>`` and exits 2.
+    """
+    from repro.errors import ReproError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

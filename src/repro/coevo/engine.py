@@ -41,14 +41,13 @@ from repro.ec.evaluator import Evaluator, SerialEvaluator
 from repro.ec.fitness import (
     DEFAULT_ATTACK_SEED,
     FitnessCache,
-    _RelockMixin,
     cache_namespace,
     resilience_accuracy,
-    resolve_relock,
 )
 from repro.ec.ga import GaConfig, GaResult, GeneticAlgorithm
 from repro.ec.genotype import genotype_key
 from repro.errors import EvolutionError
+from repro.locking.delta import DeltaRelocker
 from repro.locking.primitives import (
     DEFAULT_ALPHABET,
     Gene,
@@ -116,7 +115,7 @@ def _fingerprint(payload: Any) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-class LockVsPanelFitness(_RelockMixin):
+class LockVsPanelFitness:
     """Lock fitness: mean attack accuracy over the attacker panel.
 
     Minimised — a lock that every panel attacker reads at 0.5 is at the
@@ -132,7 +131,6 @@ class LockVsPanelFitness(_RelockMixin):
         panel: Sequence[AttackerGenome],
         attack_seed: int = DEFAULT_ATTACK_SEED,
         cache: FitnessCache | None = None,
-        relock: str | None = None,
     ) -> None:
         if not panel:
             raise EvolutionError("attacker panel must not be empty")
@@ -140,7 +138,7 @@ class LockVsPanelFitness(_RelockMixin):
         self.panel = tuple(panel)
         self.attack_seed = attack_seed
         self.cache = cache if cache is not None else FitnessCache()
-        self.relock = resolve_relock(relock)
+        self._relocker = DeltaRelocker(original)
         self._scope = ScopeAttack()
         self._attacks: list | None = None
         self.evaluations = 0
@@ -157,7 +155,7 @@ class LockVsPanelFitness(_RelockMixin):
         cached = self.cache.get(key)
         if cached is not None:
             return float(cached)
-        locked = self._lock(genes)
+        locked = self._relocker.lock(genes)
         total = 0.0
         for attack in self._panel_attacks():
             report = attack.run(locked, seed_or_rng=self.attack_seed)
@@ -170,7 +168,7 @@ class LockVsPanelFitness(_RelockMixin):
         return value
 
 
-class AttackerVsEliteFitness(_RelockMixin):
+class AttackerVsEliteFitness:
     """Attacker fitness: ``1 − mean accuracy`` against the lock elite.
 
     Minimised (stronger attacker = lower value), keeping one convention
@@ -186,7 +184,6 @@ class AttackerVsEliteFitness(_RelockMixin):
         elites: Sequence[Sequence[Gene]],
         attack_seed: int = DEFAULT_ATTACK_SEED,
         cache: FitnessCache | None = None,
-        relock: str | None = None,
     ) -> None:
         if not elites:
             raise EvolutionError("lock elite must not be empty")
@@ -194,14 +191,14 @@ class AttackerVsEliteFitness(_RelockMixin):
         self.elites = [list(genes) for genes in elites]
         self.attack_seed = attack_seed
         self.cache = cache if cache is not None else FitnessCache()
-        self.relock = resolve_relock(relock)
+        self._relocker = DeltaRelocker(original)
         self._scope = ScopeAttack()
         self._locked: list | None = None
         self.evaluations = 0
 
     def _locked_elites(self) -> list:
         if self._locked is None:
-            self._locked = [(self._lock(g), g) for g in self.elites]
+            self._locked = [(self._relocker.lock(g), g) for g in self.elites]
         return self._locked
 
     def __call__(self, genes: Sequence) -> float:
@@ -322,7 +319,6 @@ class CoevoEngine:
         attack_seed: int = DEFAULT_ATTACK_SEED,
         baseline: AttackerGenome | None = None,
         mutation_rate: float = 0.35,
-        relock: str | None = None,
         cache_factory: Callable[[str], FitnessCache] | None = None,
         memo: FitnessCache | None = None,
     ) -> None:
@@ -351,7 +347,7 @@ class CoevoEngine:
         self.attack_seed = attack_seed
         self.baseline = baseline if baseline is not None else baseline_genome()
         self.mutation_rate = float(mutation_rate)
-        self.relock = relock
+        self._relocker = DeltaRelocker(original)
         self._cache_factory = cache_factory or (
             lambda namespace: FitnessCache(namespace=namespace)
         )
@@ -372,8 +368,7 @@ class CoevoEngine:
         if cached is not None:
             self.cache_hits += 1
             return float(cached)
-        locker = _DuelLocker(self.original, self.relock)
-        locked = locker._lock(genes)
+        locked = self._relocker.lock(genes)
         attack = _create(genome)
         report = attack.run(locked, seed_or_rng=self.attack_seed)
         value = resilience_accuracy(
@@ -422,7 +417,6 @@ class CoevoEngine:
             panel,
             attack_seed=self.attack_seed,
             cache=self._cache_factory(namespace),
-            relock=self.relock,
         )
         config = GaConfig(
             key_length=self.key_length,
@@ -468,7 +462,6 @@ class CoevoEngine:
             elites,
             attack_seed=self.attack_seed,
             cache=self._cache_factory(namespace),
-            relock=self.relock,
         )
         started = time.perf_counter()
         with obs_trace.span(
@@ -638,11 +631,3 @@ class CoevoEngine:
             cache_hits=self.cache_hits,
             replayed_epochs=replayed,
         )
-
-
-class _DuelLocker(_RelockMixin):
-    """Minimal relock host for the engine's out-of-band duels."""
-
-    def __init__(self, original: Netlist, relock: str | None) -> None:
-        self.original = original
-        self.relock = resolve_relock(relock)

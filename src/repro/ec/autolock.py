@@ -28,7 +28,7 @@ from repro.attacks.scope import ScopeAttack
 from repro.ec.evaluator import AsyncEvaluator, Evaluator, SerialEvaluator
 from repro.ec.fitness import (
     FitnessCache,
-    MuxLinkFitness,
+    SpecFitness,
     cache_namespace,
     resilience_accuracy,
 )
@@ -180,10 +180,13 @@ class AutoLock:
                 attack_seed=seeds[1],
             ),
         )
-        fitness = MuxLinkFitness(
+        fitness = SpecFitness(
             original,
-            predictor=cfg.fitness_predictor,
-            ensemble=cfg.fitness_ensemble,
+            attack="muxlink",
+            attack_params={
+                "predictor": cfg.fitness_predictor,
+                "ensemble": cfg.fitness_ensemble,
+            },
             attack_seed=seeds[1],
             cache=cache,
         )

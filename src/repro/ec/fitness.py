@@ -26,7 +26,6 @@ benchmark sweeps never mix incompatible evaluations.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -36,9 +35,7 @@ from typing import Protocol, Sequence
 from repro.attacks.muxlink.attack import MuxLinkAttack
 from repro.attacks.scope import ScopeAttack
 from repro.ec.genotype import genotype_key
-from repro.locking.base import LockedCircuit
 from repro.locking.delta import DeltaRelocker
-from repro.locking.genome_lock import lock_with_genes
 from repro.locking.primitives import Gene, primitive_for_gene
 from repro.metrics.overhead import area_estimate
 from repro.metrics.security import score_guesses
@@ -59,60 +56,10 @@ _FRESH_EVALUATIONS = obs_metrics.METRICS.counter(
     "autolock_fresh_evaluations_total",
     "Fresh (non-cached) attack-backed fitness evaluations",
 )
-_RELOCK_SECONDS = obs_metrics.METRICS.histogram(
-    "autolock_relock_seconds",
-    "Phenotype (re)locking wall time, by relock mode",
-    labels=("mode",),
-)
-
 #: default attack seed for attack-backed fitness; fixed so fitness is a
 #: deterministic function of the genotype and cache entries are shared
 #: between the classic and the spec-driven APIs.
 DEFAULT_ATTACK_SEED = 0xA070
-
-
-def resolve_relock(relock: str | None) -> str:
-    """Normalise a re-locking mode: ``"delta"``, ``"scratch"``, or None.
-
-    ``None`` defers to the ``REPRO_RELOCK`` environment variable and
-    finally to ``"delta"`` — the incremental path is the default because
-    it is property-tested structurally identical to the scratch builder
-    (``tests/test_locking_delta.py``) and several times faster; set
-    ``REPRO_RELOCK=scratch`` to force the one-shot builder everywhere,
-    e.g. when bisecting a suspected delta-path regression.
-    """
-    if relock is None:
-        relock = os.environ.get("REPRO_RELOCK", "delta")
-    if relock not in ("delta", "scratch"):
-        raise ValueError(
-            f"relock mode must be 'delta' or 'scratch', got {relock!r}"
-        )
-    return relock
-
-
-class _RelockMixin:
-    """Shared phenotype builder: delta re-lock with a scratch fallback.
-
-    Expects ``self.original`` and ``self.relock`` to be set. The
-    :class:`~repro.locking.delta.DeltaRelocker` is created lazily so a
-    fitness object can be constructed cheaply (and pickled to worker
-    processes, each of which then builds its own base fanout map once).
-    """
-
-    _relocker: DeltaRelocker | None = None
-
-    def _lock(self, genes: Sequence[Gene]) -> LockedCircuit:
-        started = time.perf_counter()
-        if self.relock == "scratch":
-            locked = lock_with_genes(self.original, list(genes))
-        else:
-            if self._relocker is None:
-                self._relocker = DeltaRelocker(self.original)
-            locked = self._relocker.lock(list(genes))
-        _RELOCK_SECONDS.observe(
-            time.perf_counter() - started, mode=self.relock
-        )
-        return locked
 
 
 class FitnessFunction(Protocol):
@@ -374,7 +321,7 @@ class FitnessCache:
         return len(self.store)
 
 
-class SpecFitness(_RelockMixin):
+class SpecFitness:
     """Scalar fitness = attack accuracy of the decoded phenotype.
 
     The attack is resolved through the attack registry, so *any*
@@ -396,14 +343,13 @@ class SpecFitness(_RelockMixin):
         attack_params: dict | None = None,
         attack_seed: int = DEFAULT_ATTACK_SEED,
         cache: FitnessCache | None = None,
-        relock: str | None = None,
     ) -> None:
         self.original = original
         self.attack_name = attack
         self.attack_params = dict(attack_params or {})
         self.attack_seed = attack_seed
         self.cache = cache if cache is not None else FitnessCache()
-        self.relock = resolve_relock(relock)
+        self._relocker = DeltaRelocker(original)
         self._attack = create_attack(attack, **self.attack_params)
         self._scope = ScopeAttack()
         self.evaluations = 0
@@ -413,7 +359,7 @@ class SpecFitness(_RelockMixin):
         cached = self.cache.get(key)
         if cached is not None:
             return float(cached)
-        locked = self._lock(genes)
+        locked = self._relocker.lock(genes)
         report = self._attack.run(locked, seed_or_rng=self.attack_seed)
         value = resilience_accuracy(
             locked, genes, report, self._scope, self.attack_seed
@@ -424,40 +370,7 @@ class SpecFitness(_RelockMixin):
         return value
 
 
-class MuxLinkFitness(SpecFitness):
-    """Scalar fitness: MuxLink key-prediction accuracy (lower = fitter).
-
-    The classic interface — parameters mirror
-    :class:`~repro.attacks.muxlink.attack.MuxLinkAttack`; the default
-    (single MLP, modest epochs) is the speed/selectivity trade-off used
-    inside GA loops. Implemented as :class:`SpecFitness` pinned to the
-    ``muxlink`` attack.
-    """
-
-    def __init__(
-        self,
-        original: Netlist,
-        predictor: str = "mlp",
-        ensemble: int = 1,
-        attack_seed: int = DEFAULT_ATTACK_SEED,
-        cache: FitnessCache | None = None,
-        relock: str | None = None,
-        **predictor_kwargs,
-    ) -> None:
-        super().__init__(
-            original,
-            attack="muxlink",
-            attack_params={
-                "predictor": predictor, "ensemble": ensemble,
-                **predictor_kwargs,
-            },
-            attack_seed=attack_seed,
-            cache=cache,
-            relock=relock,
-        )
-
-
-class MultiObjectiveFitness(_RelockMixin):
+class MultiObjectiveFitness:
     """Vector fitness for NSGA-II (all components minimised).
 
     Available objectives (picked by name, order preserved):
@@ -500,7 +413,6 @@ class MultiObjectiveFitness(_RelockMixin):
         corruption_patterns: int = 256,
         corruption_keys: int = 3,
         cache: FitnessCache | None = None,
-        relock: str | None = None,
         **predictor_kwargs,
     ) -> None:
         unknown = [o for o in objectives if o not in self.OBJECTIVES]
@@ -516,7 +428,7 @@ class MultiObjectiveFitness(_RelockMixin):
         self.corruption_patterns = corruption_patterns
         self.corruption_keys = corruption_keys
         self.cache = cache if cache is not None else FitnessCache()
-        self.relock = resolve_relock(relock)
+        self._relocker = DeltaRelocker(original)
         self._attack = MuxLinkAttack(predictor=predictor, **predictor_kwargs)
         self._scope = ScopeAttack()
         self._base_area = max(1e-9, area_estimate(original))
@@ -554,7 +466,7 @@ class MultiObjectiveFitness(_RelockMixin):
         cached = self.cache.get(key)
         if cached is not None:
             return tuple(cached)
-        locked = self._lock(genes)
+        locked = self._relocker.lock(genes)
         values: dict[str, float] = {}
         # A full scope report serves both the "scope" objective and the
         # mixed-genotype aggregation in "muxlink" — never propagate

@@ -12,7 +12,7 @@ import dataclasses
 import json
 from pathlib import Path
 
-from repro.errors import LockingError
+from repro.errors import LockingError, ReproError
 from repro.locking.base import LockedCircuit
 from repro.locking.dmux import MuxPairInsertion
 from repro.locking.key import Key
@@ -83,23 +83,47 @@ def _record_from_dict(tag: str, data: dict):
 
 
 def load_locked_design(sidecar_path: str | Path) -> LockedCircuit:
-    """Load a locked design previously written by :func:`save_locked_design`."""
+    """Load a locked design previously written by :func:`save_locked_design`.
+
+    An unreadable, non-JSON or incomplete sidecar (or a missing
+    ``.bench`` beside it) raises a :class:`~repro.errors.ReproError`
+    naming the sidecar.
+    """
     sidecar_path = Path(sidecar_path)
-    data = json.loads(sidecar_path.read_text())
-    stem = data["design"]
-    directory = sidecar_path.parent
-    netlist: Netlist = parse_bench_file(directory / f"{stem}.bench", stem)
-    original: Netlist = parse_bench_file(
-        directory / f"{stem}.original.bench", data["original"]
-    )
-    key = Key(tuple(data["key_names"]), tuple(int(b) for b in data["key_bits"]))
-    insertions = [
-        _record_from_dict(rec.pop("type"), rec) for rec in data["insertions"]
-    ]
-    return LockedCircuit(
-        netlist=netlist,
-        key=key,
-        scheme=data["scheme"],
-        original=original,
-        insertions=insertions,
-    )
+    try:
+        data = json.loads(sidecar_path.read_text())
+        stem = data["design"]
+        directory = sidecar_path.parent
+        netlist: Netlist = parse_bench_file(directory / f"{stem}.bench", stem)
+        original: Netlist = parse_bench_file(
+            directory / f"{stem}.original.bench", data["original"]
+        )
+        key = Key(
+            tuple(data["key_names"]), tuple(int(b) for b in data["key_bits"])
+        )
+        insertions = [
+            _record_from_dict(rec.pop("type"), rec) for rec in data["insertions"]
+        ]
+        return LockedCircuit(
+            netlist=netlist,
+            key=key,
+            scheme=data["scheme"],
+            original=original,
+            insertions=insertions,
+        )
+    except OSError as exc:
+        raise ReproError(
+            f"cannot read locked design {sidecar_path}: {exc}"
+        ) from exc
+    except json.JSONDecodeError as exc:
+        raise ReproError(
+            f"locked design sidecar {sidecar_path} is not JSON: {exc}"
+        ) from exc
+    except KeyError as exc:
+        raise ReproError(
+            f"locked design sidecar {sidecar_path} is missing field {exc}"
+        ) from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ReproError(
+            f"locked design sidecar {sidecar_path} is malformed: {exc}"
+        ) from exc

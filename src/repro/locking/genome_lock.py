@@ -8,13 +8,20 @@ field. The inverse, :func:`genes_from_locked`, decodes a locked
 circuit's insertion records back into genes through the same primitive
 registry, so any scheme whose records a registered primitive understands
 can seed the evolutionary search.
+
+:func:`lock_with_genes` is the one gene-application loop: the fitness
+path reaches it through :class:`~repro.locking.delta.DeltaRelocker`, and
+champion materialisation calls it directly. Genes apply to a
+:class:`~repro.netlist.cow.CowNetlist` view of the original, which
+shares the original's fanout map copy-on-write and defers the
+acyclicity check to one topological sort per genotype.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.errors import LockingError
+from repro.errors import LockingError, NetlistError
 from repro.locking.base import LockedCircuit
 from repro.locking.key import Key
 from repro.locking.primitives import (
@@ -22,6 +29,7 @@ from repro.locking.primitives import (
     primitive_for_gene,
     primitive_for_insertion,
 )
+from repro.netlist.cow import CowNetlist
 from repro.netlist.netlist import Netlist
 
 
@@ -43,13 +51,14 @@ def lock_with_genes(
     genes: Sequence[Gene],
     key_prefix: str = "keyinput",
 ) -> LockedCircuit:
-    """Apply ``genes`` in order to a copy of ``original``.
+    """Apply ``genes`` in order to a copy-on-write view of ``original``.
 
     Gene ``i`` is wired to key input ``{key_prefix}{i}`` (one key bit per
     gene — the paper's encoding, whatever the gene's primitive kind).
     Raises :class:`~repro.errors.LockingError` if any gene is
     inapplicable; the evolutionary operators are expected to repair
-    genotypes *before* building phenotypes.
+    genotypes *before* building phenotypes. ``original`` is never
+    mutated; the returned netlist shares its unchanged fanout lists.
     """
     if not genes:
         raise LockingError("genotype must contain at least one gene")
@@ -63,7 +72,7 @@ def lock_with_genes(
                 )
             seen_wires.add(wire)
 
-    locked = original.copy(f"{original.name}_auto{len(genes)}")
+    locked = CowNetlist.from_base(original, f"{original.name}_auto{len(genes)}")
     insertions: list[Any] = []
     for idx, gene in enumerate(genes):
         try:
@@ -74,6 +83,17 @@ def lock_with_genes(
             )
         except LockingError as exc:
             raise LockingError(f"gene {idx} inapplicable: {exc}") from exc
+
+    # The view kept the base's lockable-wire pool, which is exact only
+    # for samplers that filter out these genes' wires; the returned
+    # circuit must answer a fresh scan.
+    locked._lockable_cache = None
+    # The per-gene ``check_acyclic`` guard is a no-op on the view;
+    # validate the finished phenotype once instead.
+    try:
+        locked.topological_order()
+    except NetlistError as exc:  # pragma: no cover - genes are pre-checked
+        raise LockingError(f"genotype built a cyclic netlist: {exc}") from exc
 
     key = Key(
         tuple(f"{key_prefix}{i}" for i in range(len(genes))),

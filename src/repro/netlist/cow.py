@@ -1,4 +1,4 @@
-"""Copy-on-write netlist view for delta re-locking and breeding.
+"""Copy-on-write netlist view for re-locking and breeding.
 
 :class:`CowNetlist` is a :class:`~repro.netlist.netlist.Netlist` seeded
 from an immutable *base* design whose graph caches are maintained
@@ -7,9 +7,9 @@ mutation. The plain ``Netlist`` drops its fanout map, topological order
 and lockable-wire pool after each ``add_gate``/``rewire_pin`` and
 rebuilds them from scratch on the next query — fine for one-shot
 construction, ruinous for the GA, which applies genotypes to the same
-base circuit over and over: once per candidate to re-lock it for fitness
-(:class:`~repro.locking.delta.DeltaRelocker`), and once per sampled,
-repaired or validated genotype while breeding
+base circuit over and over: once per candidate to re-lock it
+(:func:`~repro.locking.genome_lock.lock_with_genes`), and once per
+sampled, repaired or validated genotype while breeding
 (:mod:`repro.ec.genotype`). On a plain copy each gene paid two full
 fanout rebuilds, one full Kahn sort and one full lockable-wire scan
 (see ``benchmarks/bench_delta_relock.py``).
@@ -24,7 +24,7 @@ The view changes three behaviours:
 * **Deferred acyclicity.** :meth:`check_acyclic` is a no-op. The locking
   primitives call it defensively after every insertion, but their
   applicability checks already reject cycle-creating genes *before*
-  mutating; the view's owner (the delta re-locker, the genotype
+  mutating; the view's owner (``lock_with_genes``, the genotype
   functions) runs one full :meth:`topological_order` per genotype at the
   end, so every genotype is still verified — once, not once per gene.
 * **Retained lockable-wire pool.** The view starts with the base's
@@ -35,7 +35,7 @@ The view changes three behaviours:
   filtered base pool *is* the filtered fresh scan. Only the code that
   applied the genes can filter them out, so a view mutated other than
   by applying genes must not be asked for its pool, and a view handed
-  on must drop it (the delta re-locker does).
+  on must drop it (``lock_with_genes`` does).
 
 The gates dict is copied from the base (gates are immutable, so a dict
 copy is a deep copy), and insertion order matches a scratch
@@ -65,28 +65,20 @@ class CowNetlist(Netlist):
         self._owned: set[str] = set()
 
     @classmethod
-    def from_base(
-        cls,
-        base: Netlist,
-        name: str | None = None,
-        base_fanouts: dict[str, list[tuple[str, int]]] | None = None,
-    ) -> "CowNetlist":
+    def from_base(cls, base: Netlist, name: str | None = None) -> "CowNetlist":
         """A view of ``base`` ready for incremental locking mutations.
 
-        ``base_fanouts`` lets a caller that re-locks the same base many
-        times (the delta re-locker) share one precomputed fanout map
-        across all views instead of paying ``base.fanouts()`` per
-        candidate; it must be exactly ``base.fanouts()``'s value.
+        The base caches its own fanout map, so re-locking the same base
+        many times builds that map once.
         """
         view = cls(name or base.name)
         view.inputs = list(base.inputs)
         view.key_inputs = list(base.key_inputs)
         view.outputs = list(base.outputs)
         view.gates = dict(base.gates)
-        fanouts = base_fanouts if base_fanouts is not None else base.fanouts()
         # Shallow snapshot: per-signal lists are shared with the base
         # until a mutation owns them.
-        view._fanout_cache = dict(fanouts)
+        view._fanout_cache = dict(base.fanouts())
         view._owned = set()
         view._lockable_cache = base._lockable_cache
         return view

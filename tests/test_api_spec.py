@@ -104,6 +104,23 @@ def test_invalid_values_rejected():
         ).validate()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("key_length", "abc"),
+    ("key_length", 4.0),
+    ("key_length", True),
+    ("seed", "1"),
+    ("seed", None),
+    ("seed", False),
+    ("workers", 2.5),
+    ("workers", True),
+])
+def test_non_integer_fields_rejected(field, value):
+    spec = ExperimentSpec(circuit="c17", **{field: value})
+    with pytest.raises(SpecError, match=f"{field} must be an integer") as info:
+        spec.validate()
+    assert "\n" not in str(info.value)
+
+
 def test_with_updates_rejects_unknown_fields():
     spec = ExperimentSpec(circuit="c17")
     assert spec.with_updates(seed=9).seed == 9

@@ -24,11 +24,11 @@ from repro.ec import (
     FitnessCache,
     GaConfig,
     GeneticAlgorithm,
-    MuxLinkFitness,
     Nsga2,
     Nsga2Config,
     ProcessPoolEvaluator,
     SerialEvaluator,
+    SpecFitness,
     cache_namespace,
 )
 from repro.ec.fitness import MultiObjectiveFitness
@@ -76,7 +76,10 @@ class PidFitness:
 
 # ----------------------------------------------------- GA equivalence
 def _ga_run(circuit, evaluator, cache):
-    fitness = MuxLinkFitness(circuit, predictor="bayes", attack_seed=5, cache=cache)
+    fitness = SpecFitness(
+        circuit, attack="muxlink", attack_params={"predictor": "bayes"},
+        attack_seed=5, cache=cache,
+    )
     config = GaConfig(key_length=6, population_size=6, generations=4, seed=9)
     result = GeneticAlgorithm(config).run(circuit, fitness, evaluator=evaluator)
     return result, fitness

@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuits import load_circuit
 from repro.ec import AutoLock, AutoLockConfig
-from repro.ec.fitness import FitnessCache, MultiObjectiveFitness, MuxLinkFitness
+from repro.ec.fitness import FitnessCache, MultiObjectiveFitness, SpecFitness
 from repro.ec.genotype import random_genotype
 from repro.netlist import validate_netlist
 from repro.sim import check_equivalence
@@ -17,8 +17,9 @@ def circuit():
 
 def test_muxlink_fitness_deterministic_and_cached(circuit):
     cache = FitnessCache()
-    fitness = MuxLinkFitness(
-        circuit, predictor="bayes", attack_seed=1, cache=cache
+    fitness = SpecFitness(
+        circuit, attack="muxlink", attack_params={"predictor": "bayes"},
+        attack_seed=1, cache=cache,
     )
     genes = random_genotype(circuit, 6, seed_or_rng=1)
     first = fitness(genes)
@@ -30,7 +31,10 @@ def test_muxlink_fitness_deterministic_and_cached(circuit):
 
 
 def test_muxlink_fitness_distinguishes_genotypes(circuit):
-    fitness = MuxLinkFitness(circuit, predictor="bayes", attack_seed=2)
+    fitness = SpecFitness(
+        circuit, attack="muxlink", attack_params={"predictor": "bayes"},
+        attack_seed=2,
+    )
     values = {
         fitness(random_genotype(circuit, 6, seed_or_rng=s)) for s in range(6)
     }

@@ -8,13 +8,13 @@ from repro.attacks.muxlink.gnn import (
     _BlockDiagAdj,
     _GraphConvStack,
     normalized_adjacency,
-    resolve_gnn_batch,
 )
 from repro.attacks.muxlink.graph import ObservedGraph
 from repro.attacks.muxlink.subgraph import (
     extract_enclosing_subgraph,
     extract_enclosing_subgraphs,
 )
+from oracles import scalar_fit, scalar_score_link, scalar_score_links
 
 
 def test_normalized_adjacency_rows_sum_to_one():
@@ -193,15 +193,15 @@ def test_block_diag_operator_matches_dense():
 
 def test_batched_logits_match_scalar_on_ragged_batch():
     """No padding/block-diag leakage: every logit in a ragged batch equals
-    the same link scored alone through the scalar path."""
+    the same link scored alone through the scalar oracle."""
     g = _random_graph(seed=5)
     predictor = GnnLinkPredictor(
-        hidden_dims=(8, 4), mlp_hidden=8, epochs=2, n_train=30, batch="auto"
+        hidden_dims=(8, 4), mlp_hidden=8, epochs=2, n_train=30
     )
     predictor.fit(g, seed_or_rng=9)
     pairs = _sample_pairs(g, 17, seed=6)  # odd count, ragged sizes
     batched = predictor.score_links(pairs)
-    scalar = np.array([predictor.score_link(u, v) for u, v in pairs])
+    scalar = scalar_score_links(predictor, pairs)
     assert batched.shape == (17,)
     assert np.allclose(batched, scalar, rtol=0, atol=1e-9)
 
@@ -210,7 +210,7 @@ def test_batched_backward_matches_finite_differences():
     """FD check through the full batched pipeline: block-diagonal conv,
     segment readout, MLP head — every parameter."""
     g = _random_graph(n=25, n_edges=60, seed=7)
-    predictor = GnnLinkPredictor(hidden_dims=(5, 3), mlp_hidden=4, batch="auto")
+    predictor = GnnLinkPredictor(hidden_dims=(5, 3), mlp_hidden=4)
     predictor._graph = g
     predictor._build(11)
     subs = extract_enclosing_subgraphs(
@@ -248,61 +248,28 @@ def test_batched_backward_matches_finite_differences():
 
 
 def test_training_parity_auto_vs_off():
+    """Batched training and scoring against the per-sample scalar oracle
+    (the retired ``batch="off"`` pipeline)."""
     g = _random_graph(seed=10)
-    auto = GnnLinkPredictor(hidden_dims=(6, 3), epochs=3, n_train=24, batch="auto")
-    off = GnnLinkPredictor(hidden_dims=(6, 3), epochs=3, n_train=24, batch="off")
+    auto = GnnLinkPredictor(hidden_dims=(6, 3), epochs=3, n_train=24)
+    off = GnnLinkPredictor(hidden_dims=(6, 3), epochs=3, n_train=24)
     auto.fit(g, seed_or_rng=13)
-    off.fit(g, seed_or_rng=13)
+    scalar_fit(off, g, seed_or_rng=13)
     assert np.allclose(auto.train_history, off.train_history, atol=1e-9)
     pairs = _sample_pairs(g, 10, seed=14)
     assert np.allclose(
-        auto.score_links(pairs), off.score_links(pairs), atol=1e-9
+        auto.score_links(pairs), scalar_score_links(off, pairs), atol=1e-9
     )
 
 
-def test_batch_off_never_enters_batched_code(monkeypatch):
-    """batch="off" must keep the legacy scalar pipeline byte-for-byte; we
-    pin that by making every batched entry point explode."""
-    import repro.attacks.muxlink.gnn as gnn_mod
-
-    def boom(*args, **kwargs):
-        raise AssertionError("batched code path entered with batch='off'")
-
-    monkeypatch.setattr(gnn_mod, "extract_enclosing_subgraphs", boom)
-    monkeypatch.setattr(GnnLinkPredictor, "_forward_batch", boom)
-    monkeypatch.setattr(GnnLinkPredictor, "_backward_batch", boom)
-    monkeypatch.setattr(gnn_mod._BlockDiagAdj, "from_subgraphs", boom)
-
-    g = _ring_graph()
-    predictor = GnnLinkPredictor(hidden_dims=(6,), epochs=2, n_train=10, batch="off")
-    predictor.fit(g, seed_or_rng=1)
-    pairs = [(0, 5), (1, 4), (2, 9)]
-    batched = predictor.score_links(pairs)
-    loop = np.array([predictor.score_link(u, v) for u, v in pairs])
-    assert np.array_equal(batched, loop)  # bitwise, not just close
-
-
-def test_batch_knob_resolution(monkeypatch):
-    from repro.errors import AttackError
-
-    monkeypatch.delenv("REPRO_GNN_BATCH", raising=False)
-    assert resolve_gnn_batch(None) == "auto"
-    assert resolve_gnn_batch("off") == "off"
-    monkeypatch.setenv("REPRO_GNN_BATCH", "off")
-    assert resolve_gnn_batch(None) == "off"
-    assert GnnLinkPredictor().batch == "off"
-    # explicit argument beats the environment
-    assert GnnLinkPredictor(batch="auto").batch == "auto"
-    with pytest.raises(AttackError, match="auto.*off"):
-        resolve_gnn_batch("sometimes")
-    monkeypatch.setenv("REPRO_GNN_BATCH", "bogus")
-    with pytest.raises(AttackError, match="bogus"):
-        GnnLinkPredictor()
-
-
-def test_tiny_batch_takes_scalar_path():
+def test_score_link_is_a_one_link_batch():
     g = _ring_graph()
     predictor = GnnLinkPredictor(hidden_dims=(6,), epochs=1, n_train=10)
     predictor.fit(g, seed_or_rng=3)
-    single = predictor.score_links([(0, 5)])
-    assert np.array_equal(single, np.array([predictor.score_link(0, 5)]))
+    assert predictor.score_link(0, 5) == predictor.score_links([(0, 5)])[0]
+    assert np.isclose(
+        predictor.score_link(0, 5), scalar_score_link(predictor, 0, 5),
+        rtol=0, atol=1e-9,
+    )
+    empty = predictor.score_links([])
+    assert empty.shape == (0,) and empty.dtype == np.float64

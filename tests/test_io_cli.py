@@ -108,6 +108,41 @@ def test_cli_attack_unknown_name_exits_nonzero(tmp_path, capsys):
     assert "muxlink" in err and "random" in err and "sat" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["info", "nosuch"], "unknown circuit 'nosuch'"),
+    (["lock", "nosuch"], "unknown circuit 'nosuch'"),
+    (["attack", "{tmp}/missing.json"], "cannot read locked design"),
+    (["attack", "{tmp}/nodesign.lock.json"], "missing field 'design'"),
+    (["attack", "{tmp}/garbage.lock.json"], "is not JSON"),
+    (["evolve", "c17", "--key-length", "0"], "key_length must be >= 1"),
+    (["evolve", "c17", "--population", "0", "--predictor", "bayes"],
+     "population_size must be >= 2"),
+    (["evolve", "c17", "--key-length", "40", "--predictor", "bayes"],
+     "key too long"),
+    (["run", "{tmp}/typo_spec.json"], "key_length must be an integer"),
+], ids=[
+    "info-unknown-circuit", "lock-unknown-circuit", "attack-missing-file",
+    "attack-incomplete-sidecar", "attack-non-json-sidecar",
+    "evolve-zero-key", "evolve-zero-population", "evolve-key-too-long",
+    "run-non-integer-key",
+])
+def test_cli_library_errors_exit_two_without_traceback(
+    tmp_path, capsys, argv, message
+):
+    (tmp_path / "nodesign.lock.json").write_text('{"scheme": "dmux"}')
+    (tmp_path / "garbage.lock.json").write_text("not json")
+    (tmp_path / "typo_spec.json").write_text(
+        '{"circuit": "c17", "key_length": "abc"}'
+    )
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    if argv[0] == "attack":
+        assert str(tmp_path) in err  # the sidecar is named
+
+
 def test_cli_evolve_workers_zero_means_serial(capsys):
     """Historical contract: --workers < 2 (incl. 0) runs serially."""
     assert main([

@@ -1,6 +1,9 @@
-"""Delta re-locking: CowNetlist views must be indistinguishable from
-scratch-built lock_with_genes output — structure, key, scheme,
-insertions, fanouts and topological order all identical."""
+"""Re-locking on the copy-on-write view: ``lock_with_genes`` and
+``DeltaRelocker`` must be indistinguishable from the plain-copy oracle —
+structure, key, scheme, insertions, fanouts and topological order all
+identical."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,11 +11,14 @@ import pytest
 from repro.circuits import load_circuit
 from repro.errors import LockingError
 from repro.locking import DeltaRelocker, DMuxLocking, MuxGene, lock_with_genes
+from repro.locking.dmux import lockable_wires
 from repro.locking.genome_lock import genes_from_locked
 from repro.ec.genotype import random_genotype
 from repro.netlist import validate_netlist
 from repro.netlist.cow import CowNetlist
 from repro.registry import PRIMITIVES
+
+from oracles import scratch_lock_with_genes
 
 
 def _assert_same_lock(delta, scratch):
@@ -24,6 +30,8 @@ def _assert_same_lock(delta, scratch):
     assert delta.insertions == scratch.insertions
     assert delta.netlist.topological_order() == scratch.netlist.topological_order()
     assert delta.netlist.fanouts() == scratch.netlist.fanouts()
+    # The view must not hand on the base's lockable-wire pool.
+    assert lockable_wires(delta.netlist) == lockable_wires(scratch.netlist)
 
 
 def test_delta_matches_scratch_dmux_genes(rand100):
@@ -31,9 +39,10 @@ def test_delta_matches_scratch_dmux_genes(rand100):
     genes = genes_from_locked(locked)
     relocker = DeltaRelocker(rand100)
     delta = relocker.lock(genes)
-    scratch = lock_with_genes(rand100, genes)
+    scratch = scratch_lock_with_genes(rand100, genes)
     validate_netlist(delta.netlist)
     _assert_same_lock(delta, scratch)
+    _assert_same_lock(lock_with_genes(rand100, genes), scratch)
 
 
 @pytest.mark.parametrize("kind", sorted(PRIMITIVES.available()))
@@ -41,8 +50,9 @@ def test_delta_matches_scratch_every_primitive(rand100, kind):
     rng = np.random.default_rng(17)
     prim = PRIMITIVES.create(kind)
     genes = [prim.sample(rand100, rng) for _ in range(6)]
-    relocker = DeltaRelocker(rand100)
-    _assert_same_lock(relocker.lock(genes), lock_with_genes(rand100, genes))
+    scratch = scratch_lock_with_genes(rand100, genes)
+    _assert_same_lock(lock_with_genes(rand100, genes), scratch)
+    _assert_same_lock(DeltaRelocker(rand100).lock(genes), scratch)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 21])
@@ -52,8 +62,9 @@ def test_delta_matches_scratch_mixed_alphabet(seed):
     genotype = random_genotype(
         base, 12, rng, alphabet=tuple(sorted(PRIMITIVES.available()))
     )
-    relocker = DeltaRelocker(base)
-    _assert_same_lock(relocker.lock(genotype), lock_with_genes(base, genotype))
+    scratch = scratch_lock_with_genes(base, genotype)
+    _assert_same_lock(lock_with_genes(base, genotype), scratch)
+    _assert_same_lock(DeltaRelocker(base).lock(genotype), scratch)
 
 
 def test_relocker_is_reusable_and_base_untouched(rand100):
@@ -69,15 +80,18 @@ def test_relocker_is_reusable_and_base_untouched(rand100):
 
 def test_delta_error_messages_match_scratch(rand100):
     relocker = DeltaRelocker(rand100)
-    with pytest.raises(LockingError, match="at least one gene"):
-        relocker.lock([])
     locked = DMuxLocking("shared").lock(rand100, 4, seed_or_rng=5)
     genes = genes_from_locked(locked)
-    with pytest.raises(LockingError, match="reuses wire"):
-        relocker.lock(genes + [genes[0]])
     ghost = MuxGene("ghost_a", "ghost_b", "ghost_c", "ghost_d", 0)
-    with pytest.raises(LockingError, match="gene 0 inapplicable"):
-        relocker.lock([ghost])
+    for bad, message in (
+        ([], "at least one gene"),
+        (genes + [genes[0]], "reuses wire"),
+        ([ghost], "gene 0 inapplicable"),
+    ):
+        for lock in (relocker.lock, partial(lock_with_genes, rand100),
+                     partial(scratch_lock_with_genes, rand100)):
+            with pytest.raises(LockingError, match=message):
+                lock(bad)
 
 
 def test_cow_view_mutations_do_not_leak_to_base(rand100):
