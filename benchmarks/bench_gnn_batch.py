@@ -5,10 +5,15 @@ the enclosing-subgraph GNN (``repro.attacks.muxlink.gnn``). A whole
 population of candidate links is scored per call — vectorised subgraph
 extraction over the CSR adjacency snapshot, one block-diagonal sparse
 conv pass over the stacked node set, segment centre+mean readout, one
-MLP-head batch — and training minibatches run the same machinery
-forward and backward. The reference side is the historical
-one-subgraph-at-a-time pipeline, kept as a test oracle in
-``tests/oracles.py``.
+MLP-head batch — and training slices each minibatch out of a per-epoch
+permutation of operators and features built once per fit. The reference
+side is the historical one-subgraph-at-a-time pipeline, kept as a test
+oracle in ``tests/oracles.py``.
+
+Every timing is the minimum over N calls after one untimed warm-up call
+(``fit_repeats`` fits, ``score_repeats`` scoring passes), so one-off
+costs such as first-touch allocation and scheduler noise do not land in
+the ratio.
 
 The two pipelines are numerically equivalent but not bit-identical (batched
 BLAS reductions reassociate floating-point sums), so the bench asserts
@@ -50,7 +55,8 @@ from repro.registry import PRIMITIVES
 
 _CIRCUIT = "c1355_syn"
 _GENES = 48
-_SCORE_REPEATS = 3
+_FIT_REPEATS = 3
+_SCORE_REPEATS = 9
 _EPOCHS = 6
 _N_TRAIN = 160
 _TARGET_SCORE_SPEEDUP = 4.0
@@ -72,11 +78,23 @@ def _candidate_links(graph, queries) -> list[tuple[int, int]]:
     return pairs
 
 
+def _best_of(fn, repeats: int):
+    """(min seconds over ``repeats`` calls, last result), after a warm-up."""
+    result = fn()
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, result
+
+
 def run_gnn_batch(out_json: str | None = None) -> dict:
     scale = _scale()
     n_genes = scaled(_GENES, minimum=8)
     epochs = scaled(_EPOCHS, minimum=1)
     n_train = scaled(_N_TRAIN, minimum=24)
+    fit_repeats = scaled(_FIT_REPEATS, minimum=1)
     score_repeats = scaled(_SCORE_REPEATS, minimum=1)
 
     base = load_circuit(_CIRCUIT)
@@ -89,30 +107,26 @@ def run_gnn_batch(out_json: str | None = None) -> dict:
     pairs = _candidate_links(graph, queries)
 
     # -- training: batched minibatches vs the per-sample loop ----------
+    # Refitting with the same seed is deterministic, so every repeat
+    # leaves the same weights behind.
     auto = GnnLinkPredictor(epochs=epochs, n_train=n_train)
-    t0 = time.perf_counter()
-    auto.fit(graph, np.random.default_rng(5))
-    fit_auto_s = time.perf_counter() - t0
-
+    fit_auto_s, _ = _best_of(
+        lambda: auto.fit(graph, np.random.default_rng(5)), fit_repeats
+    )
     off = GnnLinkPredictor(epochs=epochs, n_train=n_train)
-    t0 = time.perf_counter()
-    scalar_fit(off, graph, np.random.default_rng(5))
-    fit_off_s = time.perf_counter() - t0
+    fit_off_s, _ = _best_of(
+        lambda: scalar_fit(off, graph, np.random.default_rng(5)), fit_repeats
+    )
 
     assert np.allclose(auto.train_history, off.train_history, atol=1e-8), (
         "batched training diverged from the per-sample loop"
     )
 
     # -- scoring: one block-diagonal batch vs the per-link loop --------
-    t0 = time.perf_counter()
-    for _ in range(score_repeats):
-        batched = auto.score_links(pairs)
-    batched_s = (time.perf_counter() - t0) / score_repeats
-
-    t0 = time.perf_counter()
-    for _ in range(score_repeats):
-        looped = scalar_score_links(auto, pairs)
-    looped_s = (time.perf_counter() - t0) / score_repeats
+    batched_s, batched = _best_of(lambda: auto.score_links(pairs), score_repeats)
+    looped_s, looped = _best_of(
+        lambda: scalar_score_links(auto, pairs), score_repeats
+    )
 
     max_dlogit = float(np.max(np.abs(batched - looped))) if pairs else 0.0
 
@@ -122,7 +136,9 @@ def run_gnn_batch(out_json: str | None = None) -> dict:
         "n_links": len(pairs),
         "epochs": epochs,
         "n_train": n_train,
+        "fit_repeats": fit_repeats,
         "score_repeats": score_repeats,
+        "timing": "min over repeats after one warm-up call",
         "fit_auto_s": fit_auto_s,
         "fit_off_s": fit_off_s,
         "fit_speedup": fit_off_s / fit_auto_s if fit_auto_s > 0 else None,

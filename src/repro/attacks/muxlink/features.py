@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.attacks.muxlink.graph import ObservedGraph
 from repro.attacks.muxlink.subgraph import EnclosingSubgraph
+from repro.errors import AttackError
 from repro.utils.rng import derive_rng
 
 #: Fixed gate-type vocabulary (index = one-hot position).
@@ -436,6 +437,20 @@ def link_feature_matrix(
     out[rows, base + 0] = lev_u / max_level
     out[rows, base + 1] = lev_v / max_level
     return out
+
+
+def check_training_budget(n_train: int, epochs: int) -> None:
+    """Reject a predictor budget no fit can train on, naming the field.
+
+    :func:`make_training_pairs` draws ``n_train // 2`` wires of each
+    label, so fewer than two samples leave nothing to learn from.
+    """
+    if n_train < 2:
+        raise AttackError(
+            f"n_train must be >= 2 (one wire sample per label), got {n_train}"
+        )
+    if epochs < 1:
+        raise AttackError(f"epochs must be >= 1, got {epochs}")
 
 
 def make_training_pairs(

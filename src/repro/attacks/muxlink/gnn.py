@@ -18,11 +18,15 @@ links is scored per call — the enclosing subgraphs are extracted in one
 vectorised pass, their row-normalised adjacencies assembled into one
 block-diagonal sparse operator (:class:`_BlockDiagAdj`), the conv stack
 runs once over the stacked node set, and the centre+mean readout feeds
-the MLP head one ``(B, 3·emb)`` batch. Training minibatches reuse the
-same machinery forward *and* backward. The historical
-one-subgraph-at-a-time pipeline lives on only as a test oracle
-(``tests/oracles.py``); the two agree to ~1e-9 in the logits, because
-batched reductions reassociate floating-point sums.
+the MLP head one ``(B, 3·emb)`` batch. Training builds the operator, its
+transpose and the first layer's ``S X`` once per fit over all training
+subgraphs; each epoch restacks them in its shuffled order with one
+gather, and each minibatch step slices its blocks out of that
+permutation, leaving only weight-dependent work in the step. The slices
+are bitwise the operator and ``S X`` the minibatch's own subgraphs would
+build. The historical one-subgraph-at-a-time pipeline lives on only as a
+test oracle (``tests/oracles.py``); the two agree to ~1e-9 in the
+logits, because batched reductions reassociate floating-point sums.
 """
 
 from __future__ import annotations
@@ -32,12 +36,14 @@ import time
 import numpy as np
 
 from repro.attacks.muxlink.features import (
+    check_training_budget,
     make_training_pairs,
     subgraph_feature_matrix_stack,
 )
 from repro.attacks.muxlink.graph import ObservedGraph
 from repro.attacks.muxlink.subgraph import (
     EnclosingSubgraph,
+    _gather_slices,
     extract_enclosing_subgraphs,
 )
 from repro.errors import AttackError
@@ -76,28 +82,31 @@ class _BlockDiagAdj:
 
     CSR-encoded so a batch of B subgraphs costs one sparse matmul per
     conv layer instead of B dense ones. Supports ``s @ z`` and
-    ``s.T @ z`` (via the cached transposed operator), which is all
-    :class:`_GraphConvStack` needs — the stack runs unchanged over a
-    single dense adjacency or a whole batch. Every row and column holds
-    at least the self-loop, so ``np.add.reduceat`` segment sums are
-    well-defined in both orientations.
+    ``s.T @ z``, which is all :class:`_GraphConvStack` needs — the stack
+    runs unchanged over a single dense adjacency or a whole batch. Every
+    row and column holds at least the self-loop, so ``np.add.reduceat``
+    segment sums are well-defined in both orientations.
+
+    CSR order inside a block does not depend on where the block sits, so
+    restacking or slicing whole blocks (:meth:`take_blocks`,
+    :meth:`block_rows`) yields bitwise the operator
+    :meth:`from_subgraphs` builds for the same subgraphs.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "_rows", "_t")
+    __slots__ = ("n", "indptr", "indices", "data", "_t")
 
     def __init__(
         self,
         indptr: np.ndarray,
         indices: np.ndarray,
         data: np.ndarray,
-        rows: np.ndarray,
+        t: _BlockDiagAdj | None = None,
     ) -> None:
         self.n = indptr.size - 1
         self.indptr = indptr
         self.indices = indices
         self.data = data
-        self._rows = rows
-        self._t: _BlockDiagAdj | None = None
+        self._t = t
 
     @classmethod
     def from_subgraphs(cls, subs: list[EnclosingSubgraph]) -> _BlockDiagAdj:
@@ -120,27 +129,66 @@ class _BlockDiagAdj:
         np.cumsum(counts, out=indptr[1:])
         # np.nonzero emits row-major order per block and blocks are
         # appended in order, so (rows, cols, data) is already CSR-sorted.
-        return cls(indptr, cols, data, rows)
+        return cls(indptr, cols, data)
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         contrib = self.data[:, None] * z[self.indices]
         return np.add.reduceat(contrib, self.indptr[:-1], axis=0)
 
+    def transposed(self) -> _BlockDiagAdj:
+        """The transposed operator, holding no reference back to ``self``."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        order = np.lexsort((rows, self.indices))
+        counts = np.bincount(self.indices, minlength=self.n)
+        t_indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(counts, out=t_indptr[1:])
+        return _BlockDiagAdj(t_indptr, rows[order], self.data[order])
+
     @property
     def T(self) -> _BlockDiagAdj:
         if self._t is None:
-            order = np.lexsort((self._rows, self.indices))
-            counts = np.bincount(self.indices, minlength=self.n)
-            t_indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(counts, out=t_indptr[1:])
-            self._t = _BlockDiagAdj(
-                t_indptr,
-                self._rows[order],
-                self.data[order],
-                self.indices[order],
-            )
+            self._t = self.transposed()
             self._t._t = self
         return self._t
+
+    def take_blocks(
+        self, bounds: np.ndarray, order: np.ndarray
+    ) -> tuple[_BlockDiagAdj, np.ndarray]:
+        """Blocks ``order`` restacked in that order, plus the node permutation.
+
+        Block ``b`` spans nodes ``bounds[b] : bounds[b + 1]``. One
+        vectorised gather moves every block's rows, entries and column
+        indices; the returned node permutation reorders row-aligned data
+        (features, ``s @ x``) the same way.
+        """
+        starts = bounds[order]
+        sizes = bounds[order + 1] - starts
+        nodes = _gather_slices(starts, sizes, np.arange(self.n))
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.diff(self.indptr)[nodes], out=indptr[1:])
+        e_starts = self.indptr[starts]
+        e_sizes = self.indptr[starts + sizes] - e_starts
+        entries = _gather_slices(e_starts, e_sizes, np.arange(self.data.size))
+        new_starts = np.zeros(order.size, dtype=np.int64)
+        np.cumsum(sizes[:-1], out=new_starts[1:])
+        indices = self.indices[entries] + np.repeat(new_starts - starts, e_sizes)
+        return _BlockDiagAdj(indptr, indices, self.data[entries]), nodes
+
+    def block_rows(
+        self, lo: int, hi: int, t: _BlockDiagAdj | None = None
+    ) -> _BlockDiagAdj:
+        """Nodes ``lo:hi``, a run of whole blocks, as their own operator.
+
+        ``data`` is a view; ``t`` (the same slice of the transpose) is
+        linked one way only, so the slice forms no reference cycle.
+        """
+        e0, e1 = self.indptr[lo], self.indptr[hi]
+        return _BlockDiagAdj(
+            self.indptr[lo : hi + 1] - e0,
+            self.indices[e0:e1] - lo,
+            self.data[e0:e1],
+            t,
+        )
 
 
 class _GraphConvStack:
@@ -169,19 +217,34 @@ class _GraphConvStack:
         self, s: np.ndarray | _BlockDiagAdj, x: np.ndarray
     ) -> np.ndarray:
         """Return per-node embeddings: concat of all layer outputs."""
+        return self.forward_sx(s, s @ x)
+
+    def forward_sx(
+        self, s: np.ndarray | _BlockDiagAdj, sx: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`forward` from the first layer's ``s @ x``.
+
+        ``s @ x`` does not depend on the weights, so training computes it
+        once per fit instead of once per step.
+        """
         self._s = s
         self._cache = []
-        z = x
+        sz = sx
         outs = []
-        for w in self.weights:
-            sz = s @ z
+        for layer, w in enumerate(self.weights):
+            if layer:
+                sz = s @ z
             z = np.tanh(sz @ w.value)
             self._cache.append((sz, z))
             outs.append(z)
         return np.concatenate(outs, axis=1)
 
     def backward(self, d_h: np.ndarray) -> None:
-        """Accumulate weight gradients from the concatenated embedding grad."""
+        """Accumulate weight gradients from the concatenated embedding grad.
+
+        The input gradient of the first layer is never formed: nothing
+        upstream of the features is trainable.
+        """
         assert self._cache is not None and self._s is not None, "backward before forward"
         # Split d_h back into per-layer chunks.
         chunks: list[np.ndarray] = []
@@ -196,7 +259,8 @@ class _GraphConvStack:
             dz = chunks[layer] if carry is None else chunks[layer] + carry
             da = dz * (1.0 - z**2)
             self.weights[layer].grad += sz.T @ da
-            carry = self._s.T @ (da @ self.weights[layer].value.T)
+            if layer:
+                carry = self._s.T @ (da @ self.weights[layer].value.T)
 
     def params(self) -> list[Param]:
         return list(self.weights)
@@ -219,6 +283,7 @@ class GnnLinkPredictor:
         max_nodes: int = 100,
         max_label: int = 8,
     ) -> None:
+        check_training_budget(n_train, epochs)
         self.hidden_dims = hidden_dims
         self.mlp_hidden = mlp_hidden
         self.hops = hops
@@ -254,19 +319,30 @@ class GnnLinkPredictor:
     def _forward_batch(
         self, subs: list[EnclosingSubgraph], train: bool = False
     ) -> tuple[np.ndarray, dict]:
-        """Logits for a batch of subgraphs via one block-diagonal pass.
-
-        The conv stack runs once over the stacked node set; the
-        centre+mean readout is gathered with segment offsets (positions
-        0/1 of each block are the candidate endpoints) so the MLP head
-        scores all B logits in a single forward.
-        """
-        assert self._conv is not None and self._head is not None
+        """Logits for a batch of subgraphs via one block-diagonal pass."""
         x = subgraph_feature_matrix_stack(self._graph, subs, self.max_label)
         s = _BlockDiagAdj.from_subgraphs(subs)
-        h = self._conv.forward(s, x)  # (n_total, emb)
         counts = np.array([sub.n_nodes for sub in subs], dtype=np.int64)
-        offsets = np.zeros(len(subs), dtype=np.int64)
+        return self._forward_stacked(s, s @ x, counts, train)
+
+    def _forward_stacked(
+        self,
+        s: _BlockDiagAdj,
+        sx: np.ndarray,
+        counts: np.ndarray,
+        train: bool,
+    ) -> tuple[np.ndarray, dict]:
+        """Logits for stacked subgraphs of ``counts`` nodes each.
+
+        The conv stack runs once over the stacked node set from the
+        first layer's ``s @ x``; the centre+mean readout is gathered
+        with segment offsets (positions 0/1 of each block are the
+        candidate endpoints) so the MLP head scores all B logits in a
+        single forward.
+        """
+        assert self._conv is not None and self._head is not None
+        h = self._conv.forward_sx(s, sx)  # (n_total, emb)
+        offsets = np.zeros(counts.size, dtype=np.int64)
         np.cumsum(counts[:-1], out=offsets[1:])
         means = np.add.reduceat(h, offsets, axis=0) / counts[:, None]
         readout = np.concatenate(
@@ -296,7 +372,11 @@ class GnnLinkPredictor:
 
     # -- public API ------------------------------------------------------
     def fit(self, graph: ObservedGraph, seed_or_rng=None) -> None:
-        """Self-supervised training on enclosing subgraphs of wire samples."""
+        """Self-supervised training on enclosing subgraphs of wire samples.
+
+        The operator, its transpose and the first layer's ``s @ x`` are
+        built once; each epoch permutes them and each step takes a slice.
+        """
         rng = derive_rng(seed_or_rng)
         self._graph = graph
         self._build(rng)
@@ -306,27 +386,43 @@ class GnnLinkPredictor:
         subs = extract_enclosing_subgraphs(
             graph, pairs, self.hops, self.max_nodes, self.max_label
         )
+        counts = np.array([sub.n_nodes for sub in subs], dtype=np.int64)
+        s_all = _BlockDiagAdj.from_subgraphs(subs)
+        sx_all = s_all @ subgraph_feature_matrix_stack(graph, subs, self.max_label)
+        # transposed(), not .T: a back-link would make a reference cycle.
+        st_all = s_all.transposed()
+        del subs
+        bounds = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
         optimizer = Adam(self.params(), lr=self.lr)
         self.train_history = []
-        order = np.arange(len(subs))
+        order = np.arange(counts.size)
         batch = 8
         for _ in range(self.epochs):
             rng.shuffle(order)
+            s_ep, nodes = s_all.take_blocks(bounds, order)
+            st_ep, _ = st_all.take_blocks(bounds, order)
+            sx_ep = sx_all[nodes]
+            counts_ep = counts[order]
+            bounds_ep = np.zeros_like(bounds)
+            np.cumsum(counts_ep, out=bounds_ep[1:])
             losses = []
-            for start in range(0, len(order), batch):
-                idx = order[start : start + batch]
-                logits, ctx = self._forward_batch(
-                    [subs[int(i)] for i in idx], train=True
+            for start in range(0, order.size, batch):
+                stop = min(start + batch, order.size)
+                lo, hi = bounds_ep[start], bounds_ep[stop]
+                s = s_ep.block_rows(lo, hi, t=st_ep.block_rows(lo, hi))
+                logits, ctx = self._forward_stacked(
+                    s, sx_ep[lo:hi], counts_ep[start:stop], train=True
                 )
                 # reduction="sum" makes the one batched backward
-                # gradient-equivalent to len(idx) per-sample passes; the
+                # gradient-equivalent to one pass per sample; the
                 # repeated batch-mean keeps train_history the per-sample
                 # epoch mean.
                 loss_sum, d = bce_with_logits(
-                    logits, labels[idx], reduction="sum"
+                    logits, labels[order[start:stop]], reduction="sum"
                 )
                 self._backward_batch(d, ctx)
-                losses.extend([loss_sum / len(idx)] * len(idx))
+                losses.extend([loss_sum / (stop - start)] * (stop - start))
                 optimizer.step()
             self.train_history.append(float(np.mean(losses)))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attacks.muxlink.features import (
+    check_training_budget,
     feature_group_slices,
     link_feature_dim,
     link_feature_matrix,
@@ -44,6 +45,7 @@ class MlpLinkPredictor:
         keygate_cols: bool = False,
         feature_weights: dict[str, float] | None = None,
     ) -> None:
+        check_training_budget(n_train, epochs)
         self.hidden = hidden
         self.epochs = epochs
         self.lr = lr

@@ -31,7 +31,13 @@ class Sgd:
 
 
 class Adam:
-    """Adam (Kingma & Ba) with bias correction."""
+    """Adam (Kingma & Ba) with bias correction.
+
+    The moments of every parameter live in one flat buffer, so a step is
+    one elementwise update over the concatenated gradients instead of
+    one per parameter. Every op is elementwise, so the result is
+    bit-identical to updating each parameter on its own.
+    """
 
     def __init__(
         self,
@@ -45,20 +51,26 @@ class Adam:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self._params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self._m = [np.zeros_like(p.value) for p in params]
-        self._v = [np.zeros_like(p.value) for p in params]
+        bounds = np.cumsum([0] + [p.value.size for p in params])
+        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._m = np.zeros(int(bounds[-1]))
+        self._v = np.zeros(int(bounds[-1]))
         self._t = 0
 
     def step(self) -> None:
         """Apply one update and clear gradients."""
         self._t += 1
         b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self._params, self._m, self._v):
-            m *= b1
-            m += (1 - b1) * p.grad
-            v *= b2
-            v += (1 - b2) * p.grad**2
-            m_hat = m / (1 - b1**self._t)
-            v_hat = v / (1 - b2**self._t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        grads = [p.grad.ravel() for p in self._params]
+        grad = np.concatenate(grads) if grads else self._m
+        m, v = self._m, self._v
+        m *= b1
+        m += (1 - b1) * grad
+        v *= b2
+        v += (1 - b2) * grad**2
+        m_hat = m / (1 - b1**self._t)
+        v_hat = v / (1 - b2**self._t)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for p, sl in zip(self._params, self._slices):
+            p.value -= update[sl].reshape(p.value.shape)
             p.zero_grad()

@@ -11,6 +11,12 @@ micro-benchmarks can check (and time) the fast paths against them:
   pipeline: one enclosing subgraph, one dense adjacency and one conv
   forward/backward per training sample or scored link, driving a
   :class:`~repro.attacks.muxlink.gnn.GnnLinkPredictor`'s own weights.
+* :func:`rebuild_fit` — the batched GNN training loop that rebuilds the
+  block-diagonal operator and the stacked features for every minibatch.
+  The hoisted :meth:`~repro.attacks.muxlink.gnn.GnnLinkPredictor.fit`
+  must match it bit for bit.
+* :class:`PerParamAdam` — Adam updating one parameter at a time, the
+  bitwise reference for the flat-buffer :class:`~repro.ml.optim.Adam`.
 """
 
 from __future__ import annotations
@@ -28,12 +34,14 @@ from repro.attacks.muxlink.graph import ObservedGraph
 from repro.attacks.muxlink.subgraph import (
     EnclosingSubgraph,
     extract_enclosing_subgraph,
+    extract_enclosing_subgraphs,
 )
 from repro.errors import AttackError, LockingError
 from repro.locking.base import LockedCircuit
 from repro.locking.genome_lock import genotype_scheme_name
 from repro.locking.key import Key
 from repro.locking.primitives import Gene, primitive_for_gene
+from repro.ml.layers import Param
 from repro.ml.losses import bce_with_logits
 from repro.ml.optim import Adam
 from repro.netlist.netlist import Netlist
@@ -84,7 +92,77 @@ def scratch_lock_with_genes(
     )
 
 
+# --------------------------------------------------------------------- Adam
+class PerParamAdam:
+    """Adam with per-parameter moments, updated one parameter at a time."""
+
+    def __init__(
+        self,
+        params: list[Param],
+        lr: float = 1e-2,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        eps: float = 1e-8,
+    ):
+        self._params = params
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self._m = [np.zeros_like(p.value) for p in params]
+        self._v = [np.zeros_like(p.value) for p in params]
+        self._t = 0
+
+    def step(self) -> None:
+        self._t += 1
+        b1, b2 = self.beta1, self.beta2
+        for p, m, v in zip(self._params, self._m, self._v):
+            m *= b1
+            m += (1 - b1) * p.grad
+            v *= b2
+            v += (1 - b2) * p.grad**2
+            m_hat = m / (1 - b1**self._t)
+            v_hat = v / (1 - b2**self._t)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.zero_grad()
+
+
 # ---------------------------------------------------------------------- GNN
+def rebuild_fit(
+    predictor: GnnLinkPredictor, graph: ObservedGraph, seed_or_rng=None
+) -> int:
+    """Batched training that rebuilds every minibatch from its subgraphs.
+
+    Each step assembles the minibatch's block-diagonal operator and
+    stacked features from scratch (``_forward_batch``) and updates with
+    :class:`PerParamAdam`. Returns the number of training samples.
+    """
+    rng = derive_rng(seed_or_rng)
+    predictor._graph = graph
+    predictor._build(rng)
+    pairs, labels = make_training_pairs(graph, predictor.n_train, rng)
+    if not pairs:
+        raise AttackError("observed graph has no wires to train on")
+    subs = extract_enclosing_subgraphs(
+        graph, pairs, predictor.hops, predictor.max_nodes, predictor.max_label
+    )
+    optimizer = PerParamAdam(predictor.params(), lr=predictor.lr)
+    predictor.train_history = []
+    order = np.arange(len(subs))
+    batch = 8
+    for _ in range(predictor.epochs):
+        rng.shuffle(order)
+        losses = []
+        for start in range(0, len(order), batch):
+            idx = order[start : start + batch]
+            logits, ctx = predictor._forward_batch(
+                [subs[int(i)] for i in idx], train=True
+            )
+            loss_sum, d = bce_with_logits(logits, labels[idx], reduction="sum")
+            predictor._backward_batch(d, ctx)
+            losses.extend([loss_sum / len(idx)] * len(idx))
+            optimizer.step()
+        predictor.train_history.append(float(np.mean(losses)))
+    return len(subs)
+
+
 def scalar_forward(
     predictor: GnnLinkPredictor, sub: EnclosingSubgraph
 ) -> tuple[float, dict]:

@@ -1,5 +1,7 @@
 """End-to-end attack behaviour: MuxLink, SCOPE, SAT, random baseline."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from repro.attacks import (
 )
 from repro.attacks.scope import propagate_constant
 from repro.circuits import load_circuit
+from repro.cli import main
 from repro.errors import AttackError
 from repro.locking import DMuxLocking, RandomLogicLocking
 from repro.netlist import GateType, Netlist
+from repro.registry import PREDICTORS
 from repro.sim import check_equivalence
 
 
@@ -112,6 +116,34 @@ def test_muxlink_validates_predictor():
         MuxLinkAttack(predictor="nonsense")
     with pytest.raises(AttackError):
         MuxLinkAttack(ensemble=0)
+
+
+@pytest.mark.parametrize(
+    "predictor, field, value",
+    [
+        ("gnn", "n_train", 1),
+        ("gnn", "epochs", 0),
+        ("mlp", "n_train", 0),
+        ("mlp", "epochs", 0),
+    ],
+)
+def test_predictors_reject_untrainable_budgets(predictor, field, value):
+    with pytest.raises(AttackError, match=f"^{field} must be"):
+        PREDICTORS.create(predictor, **{field: value})
+
+
+def test_cli_rejects_negative_n_train_without_traceback(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "circuit": "c17", "key_length": 2, "attack": "muxlink",
+        "attack_params": {"predictor": "mlp", "n_train": -4}, "seed": 1,
+    }))
+    assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [
+        "error: n_train must be >= 2 (one wire sample per label), got -4"
+    ]
 
 
 def test_muxlink_no_sites_on_rll(rll_locked):

@@ -1,20 +1,27 @@
 """GNN link predictor internals: hand-derived gradients vs finite differences."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.attacks.muxlink import gnn as gnn_module
 from repro.attacks.muxlink.gnn import (
     GnnLinkPredictor,
     _BlockDiagAdj,
     _GraphConvStack,
     normalized_adjacency,
 )
-from repro.attacks.muxlink.graph import ObservedGraph
+from repro.attacks.muxlink.graph import ObservedGraph, extract_observed
 from repro.attacks.muxlink.subgraph import (
     extract_enclosing_subgraph,
     extract_enclosing_subgraphs,
 )
-from oracles import scalar_fit, scalar_score_link, scalar_score_links
+from repro.circuits import load_circuit
+from repro.ec.genotype import random_genotype
+from repro.locking import lock_with_genes
+from repro.registry import PRIMITIVES
+from oracles import rebuild_fit, scalar_fit, scalar_score_link, scalar_score_links
 
 
 def test_normalized_adjacency_rows_sum_to_one():
@@ -273,3 +280,95 @@ def test_score_link_is_a_one_link_batch():
     )
     empty = predictor.score_links([])
     assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+# ------------------------------------------------------ hoisted training
+def _locked_c432_graph():
+    base = load_circuit("c432_syn")
+    genotype = random_genotype(
+        base, 12, np.random.default_rng(4),
+        alphabet=tuple(sorted(PRIMITIVES.available())),
+    )
+    graph, queries = extract_observed(lock_with_genes(base, genotype).netlist)
+    pairs = [
+        (graph.index[d], graph.index[c])
+        for q in queries
+        for d in (q.d0, q.d1)
+        for c in q.consumers
+    ]
+    return graph, pairs
+
+
+def _random_graph_case():
+    g = _random_graph(seed=10)
+    return g, _sample_pairs(g, 15, seed=14)
+
+
+@pytest.mark.parametrize(
+    "case, kwargs",
+    [
+        (_random_graph_case, dict(hidden_dims=(6, 3), epochs=3, n_train=30)),
+        (_locked_c432_graph, dict(epochs=2, n_train=50)),
+    ],
+    ids=["random-graph", "c432-ragged"],
+)
+def test_hoisted_fit_is_bitwise_the_rebuild_loop(case, kwargs):
+    """Slicing per-epoch permutations of the per-fit operator, features
+    and first-layer ``s @ x`` changes no bit of training or scoring."""
+    graph, pairs = case()
+    hoisted = GnnLinkPredictor(**kwargs)
+    rebuilt = GnnLinkPredictor(**kwargs)
+    hoisted.fit(graph, seed_or_rng=13)
+    n_samples = rebuild_fit(rebuilt, graph, seed_or_rng=13)
+    assert n_samples % 8, "want a ragged last minibatch"
+    assert np.array_equal(hoisted.train_history, rebuilt.train_history)
+    for got, want in zip(hoisted.params(), rebuilt.params(), strict=True):
+        assert np.array_equal(got.value, want.value), got.name
+    assert np.array_equal(
+        hoisted.score_links(pairs), rebuilt.score_links(pairs)
+    )
+
+
+def test_fit_normalizes_each_training_adjacency_once(monkeypatch):
+    calls = {"adj": 0, "subs": 0}
+    real_adj = gnn_module.normalized_adjacency
+    real_extract = gnn_module.extract_enclosing_subgraphs
+
+    def counting_adj(adj):
+        calls["adj"] += 1
+        return real_adj(adj)
+
+    def counting_extract(*args, **kwargs):
+        subs = real_extract(*args, **kwargs)
+        calls["subs"] += len(subs)
+        return subs
+
+    monkeypatch.setattr(gnn_module, "normalized_adjacency", counting_adj)
+    monkeypatch.setattr(
+        gnn_module, "extract_enclosing_subgraphs", counting_extract
+    )
+    predictor = GnnLinkPredictor(hidden_dims=(6, 3), epochs=4, n_train=24)
+    predictor.fit(_random_graph(seed=10), seed_or_rng=13)
+    assert calls["subs"] > 0
+    assert calls["adj"] == calls["subs"]
+
+
+def test_fit_leaves_no_block_diag_reference_cycles():
+    """Per-step operators link to their transpose one way only, so no
+    epoch's arrays wait on the cyclic collector."""
+    predictor = GnnLinkPredictor(hidden_dims=(6, 3), epochs=2, n_train=24)
+    graph = _random_graph(seed=10)
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        predictor.fit(graph, seed_or_rng=13)
+        gc.collect()
+        cyclic = [o for o in gc.garbage if isinstance(o, _BlockDiagAdj)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert cyclic == []

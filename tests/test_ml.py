@@ -16,7 +16,9 @@ from repro.ml import (
     gradient_check,
     mse_loss,
 )
+from repro.ml.layers import Param
 from repro.ml.network import fit
+from oracles import PerParamAdam
 
 _SUM_SQ = lambda out: (float((out**2).sum()), 2 * out)
 
@@ -114,6 +116,31 @@ def test_optimizer_validation():
         Sgd(layer.params(), lr=0.0)
     with pytest.raises(ValueError):
         Adam(layer.params(), lr=-1)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [[(5,), (4, 3), (1,)], []],
+    ids=["vector-matrix-bias", "no-params"],
+)
+def test_flat_adam_is_bitwise_per_param_adam(shapes):
+    """One elementwise update over the concatenated grads equals updating
+    each parameter on its own, bit for bit."""
+    rng = np.random.default_rng(0)
+    values = [rng.normal(size=shape) for shape in shapes]
+    flat = [Param(v.copy()) for v in values]
+    ref = [Param(v.copy()) for v in values]
+    flat_opt = Adam(flat, lr=5e-3)
+    ref_opt = PerParamAdam(ref, lr=5e-3)
+    for _ in range(20):
+        for p, q in zip(flat, ref):
+            p.grad += (g := rng.normal(size=p.value.shape))
+            q.grad += g
+        flat_opt.step()
+        ref_opt.step()
+        for p, q in zip(flat, ref):
+            assert np.array_equal(p.value, q.value)
+            assert not p.grad.any()
 
 
 def test_sgd_momentum_converges():
