@@ -4,9 +4,11 @@ Two feature families:
 
 * :func:`subgraph_feature_matrix` — per-node features for the GNN
   (gate-type one-hot ⊕ DRNL one-hot ⊕ scaled degree);
-* :func:`link_feature_vector` — a fixed-length descriptor of a candidate
-  link for the fast MLP predictor (endpoint types, degrees, common-
-  neighbour statistics, bounded distance, neighbourhood type histograms).
+* :func:`link_feature_matrix` — fixed-length descriptors of candidate
+  links for the fast MLP predictor (endpoint types, degrees, common-
+  neighbour statistics, bounded distance, neighbourhood type histograms),
+  one vectorised pass over a whole batch of pairs; observed edges are
+  masked analytically, so extraction never mutates the graph.
 
 Plus :func:`make_training_pairs`, the self-supervised sampler: positives
 are observed wires, negatives are non-adjacent (signal, gate) pairs drawn
@@ -15,7 +17,9 @@ to match the direction convention of real wires.
 
 from __future__ import annotations
 
-from collections import deque
+import math
+import numbers
+from itertools import chain
 
 import numpy as np
 
@@ -137,35 +141,7 @@ def subgraph_feature_matrix_stack(
     return feats
 
 
-def _bounded_distance(graph: ObservedGraph, u: int, v: int, limit: int = 4) -> int:
-    """Shortest-path length u→v up to ``limit`` (limit+1 = unreachable)."""
-    if u == v:
-        return 0
-    dist = {u: 0}
-    frontier = deque([u])
-    while frontier:
-        node = frontier.popleft()
-        d = dist[node]
-        if d == limit:
-            continue
-        for nxt in graph.adj[node]:
-            if nxt == v:
-                return d + 1
-            if nxt not in dist:
-                dist[nxt] = d + 1
-                frontier.append(nxt)
-    return limit + 1
-
-
-def _neighbor_type_histogram(graph: ObservedGraph, u: int) -> np.ndarray:
-    hist = np.zeros(N_TYPES, dtype=np.float64)
-    for nxt in graph.adj[u]:
-        hist[type_index(graph.gtypes[nxt])] += 1.0
-    total = hist.sum()
-    return hist / total if total > 0 else hist
-
-
-#: dimensionality of :func:`link_feature_vector` (the keygate-free prefix)
+#: width of a :func:`link_feature_matrix` row (the keygate-free prefix)
 LINK_FEATURE_DIM = N_TYPES * 2 + 3 + 3 + 6 + 7 + 2 + N_TYPES * 2
 
 #: key-gate kind vocabulary for the opt-in ``keygate_cols`` columns.
@@ -209,110 +185,28 @@ def feature_group_slices(keygate_cols: bool = False) -> dict[str, slice]:
     return groups
 
 
-def _write_keygate_cols(
-    graph: ObservedGraph, feats: np.ndarray, u: int, v: int
-) -> None:
-    """Fill the per-endpoint key-gate-kind one-hots after the prefix."""
-    ku = graph.keygate_kinds.get(u)
-    if ku is not None:
-        feats[LINK_FEATURE_DIM + _KEYGATE_INDEX[ku]] = 1.0
-    kv = graph.keygate_kinds.get(v)
-    if kv is not None:
-        feats[LINK_FEATURE_DIM + N_KEYGATE_KINDS + _KEYGATE_INDEX[kv]] = 1.0
+def _reach2(adj: list[set[int]], src: int, skip: int) -> tuple[set[int], set[int]]:
+    """Nodes at distance 1, and at distance 1 or 2, from ``src``.
 
-
-def _level_delta_onehot(delta: int) -> np.ndarray:
-    """One-hot of ``level(v) - level(u)`` around the ideal wire delta of 1.
-
-    Slots: [Δ<=-2, Δ=-1, Δ=0, Δ=1, Δ=2, Δ=3, Δ>=4]. True wires sit at
-    Δ≈1; D-MUX decoys drawn from arbitrary locations spread widely — the
-    single strongest oracle-less signal against vanilla D-MUX.
+    The edge ``src``–``skip``, if present, is left out. Only the first
+    hop can cross that edge: from any neighbour ``w ≠ skip`` a second
+    hop never uses it.
     """
-    onehot = np.zeros(7, dtype=np.float64)
-    onehot[int(np.clip(delta + 2, 0, 6))] = 1.0
-    return onehot
+    hop1 = adj[src]
+    if skip in hop1:
+        hop1 = hop1 - {skip}
+    return hop1, hop1.union(*[adj[w] for w in hop1])
 
 
 def link_feature_vector(
     graph: ObservedGraph, u: int, v: int, keygate_cols: bool = False
 ) -> np.ndarray:
-    """Descriptor of candidate link ``u → v`` (edge masked if present).
+    """Descriptor of the single candidate link ``u → v``.
 
-    Layout: [type(u) | type(v) | log-degrees(u, v, min) | CN, Jaccard,
-    Adamic-Adar | distance one-hot (1..5+) | level-delta one-hot |
-    scaled levels | neighbour-type hist(u) | neighbour-type hist(v)].
-    ``keygate_cols`` appends two key-gate-kind one-hots after that
-    prefix, leaving the first :data:`LINK_FEATURE_DIM` columns
-    byte-identical to the historical extractor.
+    One row of :func:`link_feature_matrix`, which documents the layout
+    and the masking of observed edges.
     """
-    removed = graph.remove_undirected(u, v)
-    try:
-        feats = np.zeros(link_feature_dim(keygate_cols), dtype=np.float64)
-        feats[type_index(graph.gtypes[u])] = 1.0
-        feats[N_TYPES + type_index(graph.gtypes[v])] = 1.0
-        base = 2 * N_TYPES
-        deg_u, deg_v = graph.degree(u), graph.degree(v)
-        feats[base + 0] = np.log1p(deg_u)
-        feats[base + 1] = np.log1p(deg_v)
-        feats[base + 2] = np.log1p(min(deg_u, deg_v))
-        base += 3
-        common = graph.adj[u] & graph.adj[v]
-        union = graph.adj[u] | graph.adj[v]
-        feats[base + 0] = float(len(common))
-        feats[base + 1] = len(common) / len(union) if union else 0.0
-        feats[base + 2] = float(
-            sum(1.0 / np.log1p(graph.degree(w)) for w in common if graph.degree(w) > 1)
-        )
-        base += 3
-        dist = _bounded_distance(graph, u, v, limit=4)
-        feats[base + min(dist, 5)] = 1.0  # slots: 0(unused),1,2,3,4,5=farther
-        base += 6
-        delta = graph.levels[v] - graph.levels[u]
-        feats[base : base + 7] = _level_delta_onehot(delta)
-        base += 7
-        max_level = max(max(graph.levels), 1)
-        feats[base + 0] = graph.levels[u] / max_level
-        feats[base + 1] = graph.levels[v] / max_level
-        base += 2
-        feats[base : base + N_TYPES] = _neighbor_type_histogram(graph, u)
-        feats[base + N_TYPES : base + 2 * N_TYPES] = _neighbor_type_histogram(graph, v)
-        if keygate_cols:
-            _write_keygate_cols(graph, feats, u, v)
-        return feats
-    finally:
-        if removed:
-            graph.restore_undirected(u, v)
-
-
-def _bounded_distances_to(
-    graph: ObservedGraph, src: int, targets: set[int], limit: int = 4
-) -> dict[int, int]:
-    """BFS distances from ``src`` to each target, truncated at ``limit``.
-
-    Targets farther than ``limit`` are absent; read with
-    ``dmap.get(node, limit + 1)`` to match :func:`_bounded_distance`
-    (the observed graph is undirected, so distance is symmetric). The
-    walk stops as soon as every target is resolved — at ``limit`` hops a
-    neighbourhood can cover most of the circuit, so the early exit, not
-    the map sharing, is what makes the batched extractor cheap.
-    """
-    adj = graph.adj
-    dist = {src: 0}
-    remaining = len(targets - {src})
-    level = [src]
-    for d in range(1, limit + 1):
-        if not remaining or not level:
-            break
-        next_level: list[int] = []
-        for node in level:
-            for nxt in adj[node]:
-                if nxt not in dist:
-                    dist[nxt] = d
-                    next_level.append(nxt)
-                    if nxt in targets:
-                        remaining -= 1
-        level = next_level
-    return dist
+    return link_feature_matrix(graph, [(u, v)], keygate_cols=keygate_cols)[0]
 
 
 def link_feature_matrix(
@@ -320,137 +214,188 @@ def link_feature_matrix(
     pairs: list[tuple[int, int]],
     keygate_cols: bool = False,
 ) -> np.ndarray:
-    """:func:`link_feature_vector` for many candidate links at once.
+    """Descriptors of candidate links ``u → v``, one row per pair.
 
-    Bit-identical to stacking the scalar extractor row by row (the
-    vectorised columns run the same numpy ops elementwise; the set
-    statistics keep the scalar path's iteration and summation order),
-    but shares per-call caches across pairs: neighbour-type histograms
-    and inverse-log-degree terms per node, one early-exit distance BFS
-    per consumer instead of one full bounded BFS per pair. Pairs that
-    exist as observed edges take the scalar path, which masks the edge
-    before extracting (the SEAL convention) — masking would invalidate
-    the shared caches.
+    Layout: [type(u) | type(v) | log-degrees(u, v, min) | CN, Jaccard,
+    Adamic-Adar | distance one-hot (1..5+) | level-delta one-hot |
+    scaled levels | neighbour-type hist(u) | neighbour-type hist(v)].
+    ``keygate_cols`` appends two key-gate-kind one-hots after that
+    prefix, leaving the first :data:`LINK_FEATURE_DIM` columns
+    byte-identical to the historical extractor.
+
+    A pair that is an observed edge is described with that edge masked
+    (the SEAL convention: the link being predicted must not be visible
+    to its own features). The mask is applied analytically and the graph
+    is never mutated: both endpoint degrees drop by one, each endpoint's
+    neighbour-type counts lose the other endpoint's type, and the common
+    neighbours — hence CN, Jaccard and the Adamic-Adar sum, with the
+    same set iteration order — are unchanged. Distances come from the
+    radius-2 neighbourhoods of both endpoints (with the masked edge
+    skipped), which settle every distance up to 4 exactly; unmasked
+    neighbourhoods are cached per call. Every row is bit-identical to
+    masking the edge in place and extracting the pair on its own.
     """
     n = len(pairs)
     out = np.zeros((n, link_feature_dim(keygate_cols)), dtype=np.float64)
     if not pairs:
         return out
-    max_level = max(max(graph.levels), 1)
     levels = graph.levels
-    gtypes = graph.gtypes
     adj = graph.adj
-    hists: dict[int, np.ndarray] = {}
-    inv_log_deg: dict[int, float] = {}
+    max_level = max(max(levels), 1)
     gtype_idx = graph_type_indices(graph)
+    reach: dict[int, tuple[set[int], set[int]]] = {}
+    inv_log_deg: dict[int, float] = {}
 
-    def hist(node: int) -> np.ndarray:
-        h = hists.get(node)
-        if h is None:
-            nbrs = adj[node]
-            if nbrs:
-                counts = np.bincount(
-                    gtype_idx[list(nbrs)], minlength=N_TYPES
-                ).astype(np.float64)
-                h = counts / counts.sum()
-            else:
-                h = np.zeros(N_TYPES, dtype=np.float64)
-            hists[node] = h
-        return h
+    def reach_of(node: int, peer: int, edge: bool) -> tuple[set[int], set[int]]:
+        if edge:  # masked: depends on the peer, so not cached
+            return _reach2(adj, node, peer)
+        r = reach.get(node)
+        if r is None:
+            r = reach[node] = _reach2(adj, node, peer)
+        return r
 
-    # Partition: edge pairs fall back to the (masking) scalar extractor;
-    # the rest group by consumer for one shared distance BFS each.
-    fast: list[tuple[int, int, int]] = []
-    by_consumer: dict[int, set[int]] = {}
+    masked = np.zeros(n, dtype=bool)
+    deg_u = np.empty(n, dtype=np.int64)
+    deg_v = np.empty(n, dtype=np.int64)
+    n_common = np.empty(n, dtype=np.int64)
+    adamic_adar = np.empty(n, dtype=np.float64)
+    dist_slot = np.empty(n, dtype=np.intp)
     for row, (u, v) in enumerate(pairs):
-        if v in adj[u]:
-            out[row] = link_feature_vector(graph, u, v, keygate_cols=keygate_cols)
-        else:
-            fast.append((row, u, v))
-            by_consumer.setdefault(v, set()).add(u)
-    if keygate_cols:
-        for row, u, v in fast:
-            _write_keygate_cols(graph, out[row], u, v)
-    if not fast:
-        return out
-
-    dists: dict[tuple[int, int], int] = {}
-    for v, targets in by_consumer.items():
-        dmap = _bounded_distances_to(graph, v, targets, limit=4)
-        for u in targets:
-            dists[(u, v)] = dmap.get(u, 5)
-
-    m = len(fast)
-    rows = np.empty(m, dtype=np.intp)
-    tu = np.empty(m, dtype=np.intp)
-    tv = np.empty(m, dtype=np.intp)
-    deg_u = np.empty(m, dtype=np.int64)
-    deg_v = np.empty(m, dtype=np.int64)
-    lev_u = np.empty(m, dtype=np.int64)
-    lev_v = np.empty(m, dtype=np.int64)
-    dist_slot = np.empty(m, dtype=np.intp)
-    for j, (row, u, v) in enumerate(fast):
-        rows[j] = row
-        tu[j] = gtype_idx[u]
-        tv[j] = gtype_idx[v]
-        du, dv = len(adj[u]), len(adj[v])
-        deg_u[j] = du
-        deg_v[j] = dv
-        lev_u[j] = levels[u]
-        lev_v[j] = levels[v]
-        dist = dists[(u, v)]
-        dist_slot[j] = dist if dist < 5 else 5
-
-        feats = out[row]
-        common = adj[u] & adj[v]
-        # |u ∪ v| = deg(u) + deg(v) − |u ∩ v|: the same integer the
-        # scalar path gets from building the union set.
-        n_union = du + dv - len(common)
-        feats[2 * N_TYPES + 3] = float(len(common))
-        feats[2 * N_TYPES + 4] = len(common) / n_union if n_union else 0.0
+        adj_u, adj_v = adj[u], adj[v]
+        edge = v in adj_u
+        masked[row] = edge
+        deg_u[row] = len(adj_u) - edge
+        deg_v[row] = len(adj_v) - edge
+        # Neither endpoint is its own neighbour, so masking u–v leaves
+        # this set — and the order it is built in — unchanged.
+        common = adj_u & adj_v
+        n_common[row] = len(common)
         aa = 0
-        for w in common:  # same set expression as the scalar path, so
-            if len(adj[w]) > 1:  # the summation order matches exactly
+        for w in common:
+            if len(adj[w]) > 1:
                 term = inv_log_deg.get(w)
                 if term is None:
                     term = inv_log_deg[w] = 1.0 / np.log1p(len(adj[w]))
                 aa = aa + term
-        feats[2 * N_TYPES + 5] = float(aa)
+        adamic_adar[row] = aa
+        # Distinct endpoints are never adjacent once the pair is masked,
+        # so the distance is 2 exactly when they share a neighbour.
+        if u == v:
+            dist_slot[row] = 0
+        elif common:
+            dist_slot[row] = 2
+        else:
+            hop1_u, within2_u = reach_of(u, v, edge)
+            _, within2_v = reach_of(v, u, edge)
+            if not hop1_u.isdisjoint(within2_v):
+                dist_slot[row] = 3
+            elif not within2_u.isdisjoint(within2_v):
+                dist_slot[row] = 4
+            else:
+                dist_slot[row] = 5  # farther than 4 hops
 
-        feats[LINK_FEATURE_DIM - 2 * N_TYPES : LINK_FEATURE_DIM - N_TYPES] = hist(u)
-        feats[LINK_FEATURE_DIM - N_TYPES : LINK_FEATURE_DIM] = hist(v)
-
-    # Vectorised columns: elementwise ufuncs/divisions reproduce the
-    # scalar per-pair values bit for bit.
+    pu = np.fromiter((u for u, _ in pairs), dtype=np.intp, count=n)
+    pv = np.fromiter((v for _, v in pairs), dtype=np.intp, count=n)
+    rows = np.arange(n)
+    tu, tv = gtype_idx[pu], gtype_idx[pv]
     out[rows, tu] = 1.0
     out[rows, N_TYPES + tv] = 1.0
     base = 2 * N_TYPES
-    out[rows, base + 0] = np.log1p(deg_u)
-    out[rows, base + 1] = np.log1p(deg_v)
-    out[rows, base + 2] = np.log1p(np.minimum(deg_u, deg_v))
-    base += 6  # common-neighbour stats already written in the loop
-    out[rows, base + dist_slot] = 1.0
+    out[:, base + 0] = np.log1p(deg_u)
+    out[:, base + 1] = np.log1p(deg_v)
+    out[:, base + 2] = np.log1p(np.minimum(deg_u, deg_v))
+    base += 3
+    # |u ∪ v| = deg(u) + deg(v) − |u ∩ v|; int/int division rounds the
+    # exact quotient just as the set-based ratio does.
+    n_union = deg_u + deg_v - n_common
+    out[:, base + 0] = n_common
+    np.divide(n_common, n_union, out=out[:, base + 1], where=n_union > 0)
+    out[:, base + 2] = adamic_adar
+    base += 3
+    out[rows, base + dist_slot] = 1.0  # slots: 0(unused),1,2,3,4,5=farther
     base += 6
-    delta_slot = np.clip(lev_v - lev_u + 2, 0, 6)
-    out[rows, base + delta_slot] = 1.0
+    # level(v) - level(u) around the ideal wire delta of 1, slots
+    # [Δ<=-2, Δ=-1, Δ=0, Δ=1, Δ=2, Δ=3, Δ>=4]: true wires sit at Δ≈1,
+    # D-MUX decoys spread widely — the strongest oracle-less signal.
+    lev = np.asarray(levels, dtype=np.int64)
+    lev_u, lev_v = lev[pu], lev[pv]
+    out[rows, base + np.clip(lev_v - lev_u + 2, 0, 6)] = 1.0
     base += 7
-    out[rows, base + 0] = lev_u / max_level
-    out[rows, base + 1] = lev_v / max_level
+    out[:, base + 0] = lev_u / max_level
+    out[:, base + 1] = lev_v / max_level
+    base += 2
+
+    # Neighbour-type histograms: integer counts per distinct endpoint,
+    # the masked endpoint's type taken back out, over the (masked)
+    # degree — exact counts, so each ratio rounds as the scalar one.
+    nodes, inverse = np.unique(np.concatenate([pu, pv]), return_inverse=True)
+    node_deg = np.fromiter(
+        (len(adj[i]) for i in nodes), dtype=np.int64, count=nodes.size
+    )
+    nbrs = np.fromiter(
+        chain.from_iterable(adj[i] for i in nodes),
+        dtype=np.intp,
+        count=int(node_deg.sum()),
+    )
+    owner = np.repeat(np.arange(nodes.size), node_deg)
+    counts = np.bincount(
+        owner * N_TYPES + gtype_idx[nbrs], minlength=nodes.size * N_TYPES
+    ).reshape(nodes.size, N_TYPES).astype(np.float64)
+    for end, peer_type, deg in (
+        (inverse[:n], tv, deg_u),
+        (inverse[n:], tu, deg_v),
+    ):
+        hist = counts[end]
+        hist[masked, peer_type[masked]] -= 1.0
+        np.divide(
+            hist,
+            deg[:, None],
+            out=out[:, base : base + N_TYPES],
+            where=deg[:, None] > 0,
+        )
+        base += N_TYPES
+
+    if keygate_cols:
+        kinds = graph.keygate_kinds
+        for row, (u, v) in enumerate(pairs):
+            ku = kinds.get(u)
+            if ku is not None:
+                out[row, LINK_FEATURE_DIM + _KEYGATE_INDEX[ku]] = 1.0
+            kv = kinds.get(v)
+            if kv is not None:
+                out[row, LINK_FEATURE_DIM + N_KEYGATE_KINDS + _KEYGATE_INDEX[kv]] = 1.0
     return out
 
 
-def check_training_budget(n_train: int, epochs: int) -> None:
-    """Reject a predictor budget no fit can train on, naming the field.
+def check_training_budget(
+    n_train: int, epochs: int, lr: float, batch_size: int | None = None
+) -> None:
+    """Reject predictor hyper-parameters no fit can train with, naming the field.
 
     :func:`make_training_pairs` draws ``n_train // 2`` wires of each
     label, so fewer than two samples leave nothing to learn from.
+    ``batch_size`` is checked only for predictors that take one.
     """
+    counts = {"n_train": n_train, "epochs": epochs}
+    if batch_size is not None:
+        counts["batch_size"] = batch_size
+    for field_name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise AttackError(f"{field_name} must be an integer, got {value!r}")
     if n_train < 2:
         raise AttackError(
             f"n_train must be >= 2 (one wire sample per label), got {n_train}"
         )
     if epochs < 1:
         raise AttackError(f"epochs must be >= 1, got {epochs}")
+    if batch_size is not None and batch_size < 1:
+        raise AttackError(f"batch_size must be >= 1, got {batch_size}")
+    if (
+        isinstance(lr, bool)
+        or not isinstance(lr, numbers.Real)
+        or not 0 < lr < math.inf
+    ):
+        raise AttackError(f"lr must be a finite number > 0, got {lr!r}")
 
 
 def make_training_pairs(

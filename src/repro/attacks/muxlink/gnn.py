@@ -283,7 +283,7 @@ class GnnLinkPredictor:
         max_nodes: int = 100,
         max_label: int = 8,
     ) -> None:
-        check_training_budget(n_train, epochs)
+        check_training_budget(n_train, epochs, lr)
         self.hidden_dims = hidden_dims
         self.mlp_hidden = mlp_hidden
         self.hops = hops

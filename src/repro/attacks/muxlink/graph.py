@@ -11,10 +11,11 @@ information genuinely available to an oracle-less attacker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from repro.netlist.gates import GateType
+from repro.netlist.gates import Gate, GateType
 from repro.netlist.netlist import Netlist
 
 
@@ -120,14 +121,14 @@ class ObservedGraph:
             out[u].append(v)
         level = [0] * n
         ready = [i for i in range(n) if indeg[i] == 0]
-        order: list[int] = []
         while ready:
             node = ready.pop()
-            order.append(node)
+            above = level[node] + 1
             for nxt in out[node]:
-                level[nxt] = max(level[nxt], level[node] + 1)
+                if level[nxt] < above:
+                    level[nxt] = above
                 indeg[nxt] -= 1
-                if indeg[nxt] == 0:
+                if not indeg[nxt]:
                     ready.append(nxt)
         self.levels = level
 
@@ -187,55 +188,77 @@ def extract_observed(netlist: Netlist) -> tuple[ObservedGraph, list[MuxQuery]]:
     input becomes a :class:`MuxQuery` instead of a node. Everything else —
     including MUXes that are part of the original design — stays a normal
     node.
+
+    The key-MUX set is found in one pass, then nodes and wires are
+    appended straight into the graph's lists in netlist order — the same
+    nodes, adjacency insertion order, wire list and ``_adj_version`` as
+    :meth:`ObservedGraph.add_node`/:meth:`ObservedGraph.add_edge` give.
     """
     key_set = set(netlist.key_inputs)
+    gates = netlist.gates
+    key_muxes: dict[str, Gate] = {}
+    kept: list[Gate] = []
+    for gate in gates.values():
+        if gate.gtype is GateType.MUX and gate.fanins[0] in key_set:
+            key_muxes[gate.name] = gate
+        else:
+            kept.append(gate)
+
     graph = ObservedGraph()
-
-    def is_key_mux(name: str) -> bool:
-        gate = netlist.gates.get(name)
-        return (
-            gate is not None
-            and gate.gtype is GateType.MUX
-            and gate.fanins[0] in key_set
-        )
-
-    for sig in netlist.inputs:
-        graph.add_node(sig, "PI", gate=False)
-    for gate in netlist.gates.values():
-        if not is_key_mux(gate.name):
-            graph.add_node(gate.name, gate.gtype.value, gate=True)
-
-    mux_consumers: dict[str, list[str]] = {}
-    for gate in netlist.gates.values():
-        if is_key_mux(gate.name):
+    nodes, index, gtypes = graph.nodes, graph.index, graph.gtypes
+    adj, is_gate = graph.adj, graph.is_gate
+    for name, gtype, gate_flag in chain(
+        ((sig, "PI", False) for sig in netlist.inputs),
+        ((gate.name, gate.gtype.value, True) for gate in kept),
+    ):
+        if name in index:
             continue
-        g_idx = graph.index[gate.name]
+        index[name] = len(nodes)
+        nodes.append(name)
+        gtypes.append(gtype)
+        adj.append(set())
+        is_gate.append(gate_flag)
+
+    directed = graph.directed_edges
+    keygate_kinds = graph.keygate_kinds
+    mux_consumers: dict[str, list[str]] = {}
+    for gate in kept:
+        g_idx = index[gate.name]
         for src in gate.fanins:
             if src in key_set:
                 # The key fanin is invisible to the attacker, but the
                 # *kind* of the gate that consumed it is not: annotate
                 # XOR/XNOR/AND/OR key gates so key-gate-aware features
                 # (and the SAAM kind-read) can score these bits too.
-                if gate.gtype.value in KEYGATE_KIND_BIT:
-                    graph.keygate_kinds[g_idx] = gate.gtype.value
+                kind = gate.gtype.value
+                if kind in KEYGATE_KIND_BIT:
+                    keygate_kinds[g_idx] = kind
                 continue
-            if is_key_mux(src):
+            if src in key_muxes:
                 mux_consumers.setdefault(src, []).append(gate.name)
                 continue
-            graph.add_edge(graph.index[src], g_idx)
+            s_idx = index[src]
+            if s_idx != g_idx:
+                adj[s_idx].add(g_idx)
+                adj[g_idx].add(s_idx)
+                directed.append((s_idx, g_idx))
+    graph._adj_version = len(directed)
 
     queries: list[MuxQuery] = []
-    for gate in netlist.gates.values():
-        if not is_key_mux(gate.name):
-            continue
+    for name, gate in key_muxes.items():
         sel, d0, d1 = gate.fanins
-        consumers = tuple(mux_consumers.get(gate.name, ()))
-        if is_key_mux(d0) or is_key_mux(d1):
+        if d0 in key_muxes or d1 in key_muxes:
             # Chained key-MUXes are outside this attack's model; the site
             # simply stays undecided (counted as coin-flip in scoring).
             continue
         queries.append(
-            MuxQuery(mux=gate.name, key_name=sel, d0=d0, d1=d1, consumers=consumers)
+            MuxQuery(
+                mux=name,
+                key_name=sel,
+                d0=d0,
+                d1=d1,
+                consumers=tuple(mux_consumers.get(name, ())),
+            )
         )
     graph.compute_levels()
     return graph, queries

@@ -1,7 +1,7 @@
 """MLP link predictor on hand-crafted structural features.
 
 The fast learned backend: one fixed-length feature vector per candidate
-link (see :func:`repro.attacks.muxlink.features.link_feature_vector`),
+link (see :func:`repro.attacks.muxlink.features.link_feature_matrix`),
 classified by a small MLP trained with Adam on the self-supervised wire
 samples. Roughly an order of magnitude faster than the GNN per fitness
 evaluation, which is what makes GA populations affordable; the GNN backend
@@ -45,7 +45,7 @@ class MlpLinkPredictor:
         keygate_cols: bool = False,
         feature_weights: dict[str, float] | None = None,
     ) -> None:
-        check_training_budget(n_train, epochs)
+        check_training_budget(n_train, epochs, lr, batch_size)
         self.hidden = hidden
         self.epochs = epochs
         self.lr = lr

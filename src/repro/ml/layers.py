@@ -2,7 +2,9 @@
 
 Every layer caches what it needs during ``forward`` and consumes the cache
 in ``backward``; parameters accumulate gradients in ``Param.grad`` until
-the optimizer consumes and zeroes them. Shapes follow the row-major
+the optimizer consumes and zeroes them. Layers always read and update
+``Param.value``/``Param.grad`` in place, so an optimizer may rebind them
+to views of its own buffers. Shapes follow the row-major
 convention: activations are ``(batch, features)``.
 """
 
@@ -42,6 +44,14 @@ class Layer(abc.ABC):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients, return gradient w.r.t. input."""
 
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """Accumulate parameter gradients; the input gradient is not needed.
+
+        For a model's first layer, whose input gradient nobody reads.
+        Layers that can skip forming it override this.
+        """
+        self.backward(grad_out)
+
     def params(self) -> list[Param]:
         """Trainable parameters (default none)."""
         return []
@@ -64,10 +74,13 @@ class Linear(Layer):
         return x @ self.weight.value + self.bias.value
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_out)
+        return grad_out @ self.weight.value.T
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
         assert self._x is not None, "backward before forward"
         self.weight.grad += self._x.T @ grad_out
         self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.value.T
 
     def params(self) -> list[Param]:
         return [self.weight, self.bias]

@@ -33,10 +33,16 @@ class Sgd:
 class Adam:
     """Adam (Kingma & Ba) with bias correction.
 
-    The moments of every parameter live in one flat buffer, so a step is
-    one elementwise update over the concatenated gradients instead of
-    one per parameter. Every op is elementwise, so the result is
-    bit-identical to updating each parameter on its own.
+    The optimizer owns every parameter's value and gradient: it copies
+    them into two flat buffers and rebinds each ``Param.value`` and
+    ``Param.grad`` to a reshaped view of its slice, so layers read and
+    accumulate in place. The moments live in flat buffers too, and a
+    step is one elementwise update over the whole buffer — no
+    concatenation, per-parameter subtract or per-parameter
+    ``zero_grad``. Every op is elementwise, in the order of the
+    per-parameter formula, so the result is bit-identical to updating
+    each parameter on its own. A parameter belongs to the last
+    optimizer constructed over it.
     """
 
     def __init__(
@@ -49,28 +55,44 @@ class Adam:
     ):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        self._params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        bounds = np.cumsum([0] + [p.value.size for p in params])
-        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self._m = np.zeros(int(bounds[-1]))
-        self._v = np.zeros(int(bounds[-1]))
+        total = sum(p.value.size for p in params)
+        self._value = np.empty(total)
+        self._grad = np.empty(total)
+        start = 0
+        for p in params:
+            stop = start + p.value.size
+            value = self._value[start:stop].reshape(p.value.shape)
+            grad = self._grad[start:stop].reshape(p.value.shape)
+            value[...] = p.value
+            grad[...] = p.grad
+            p.value, p.grad = value, grad
+            start = stop
+        self._m = np.zeros(total)
+        self._v = np.zeros(total)
+        self._tmp = np.empty(total)
+        self._update = np.empty(total)
         self._t = 0
 
     def step(self) -> None:
         """Apply one update and clear gradients."""
         self._t += 1
         b1, b2 = self.beta1, self.beta2
-        grads = [p.grad.ravel() for p in self._params]
-        grad = np.concatenate(grads) if grads else self._m
-        m, v = self._m, self._v
+        grad, m, v = self._grad, self._m, self._v
+        tmp, update = self._tmp, self._update
         m *= b1
-        m += (1 - b1) * grad
+        np.multiply(1 - b1, grad, out=tmp)
+        m += tmp
         v *= b2
-        v += (1 - b2) * grad**2
-        m_hat = m / (1 - b1**self._t)
-        v_hat = v / (1 - b2**self._t)
-        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        for p, sl in zip(self._params, self._slices):
-            p.value -= update[sl].reshape(p.value.shape)
-            p.zero_grad()
+        np.square(grad, out=tmp)
+        np.multiply(1 - b2, tmp, out=tmp)
+        v += tmp
+        # update = lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1 - b1**self._t, out=update)
+        np.multiply(self.lr, update, out=update)
+        np.divide(v, 1 - b2**self._t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        update /= tmp
+        self._value -= update
+        grad.fill(0.0)

@@ -1,9 +1,9 @@
-"""Reference DPLL solver.
+"""Reference DPLL solver, kept only as a cross-check for CDCL.
 
 Deliberately simple (unit propagation + pure-literal elimination +
 chronological backtracking) so its behaviour is easy to audit. The test
-suite cross-checks the CDCL solver against this one on random formulas;
-production workloads should use :class:`repro.sat.cdcl.CdclSolver`.
+suite cross-checks :class:`repro.sat.cdcl.CdclSolver` against this one
+on random formulas; ``src/`` has no second solver.
 """
 
 from __future__ import annotations

@@ -17,20 +17,45 @@ micro-benchmarks can check (and time) the fast paths against them:
   must match it bit for bit.
 * :class:`PerParamAdam` — Adam updating one parameter at a time, the
   bitwise reference for the flat-buffer :class:`~repro.ml.optim.Adam`.
+* :func:`scalar_link_feature_vector` — the MuxLink-MLP link descriptor
+  one pair at a time, masking an observed edge by removing it from the
+  graph and running a full bounded BFS. The analytic masking in
+  :func:`~repro.attacks.muxlink.features.link_feature_matrix` must match
+  it bit for bit.
+* :func:`loop_fit` / :func:`loop_mlp_fit` — the MLP training loop that
+  gathers ``x[idx]`` per minibatch, forms every input gradient and steps
+  a :class:`PerParamAdam`; :func:`~repro.ml.network.fit` and
+  :meth:`~repro.attacks.muxlink.mlp_predictor.MlpLinkPredictor.fit` must
+  match it bit for bit.
+* :func:`rebuild_extract_observed` — the observed-graph builder going
+  through ``add_node``/``add_edge`` and re-testing every gate for being
+  a key MUX.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.attacks.muxlink.features import (
+    KEYGATE_KIND_VOCAB,
+    LINK_FEATURE_DIM,
+    N_KEYGATE_KINDS,
+    N_TYPES,
+    link_feature_dim,
     make_training_pairs,
     subgraph_feature_matrix,
+    type_index,
 )
 from repro.attacks.muxlink.gnn import GnnLinkPredictor, normalized_adjacency
-from repro.attacks.muxlink.graph import ObservedGraph
+from repro.attacks.muxlink.graph import (
+    KEYGATE_KIND_BIT,
+    MuxQuery,
+    ObservedGraph,
+)
+from repro.attacks.muxlink.mlp_predictor import MlpLinkPredictor
 from repro.attacks.muxlink.subgraph import (
     EnclosingSubgraph,
     extract_enclosing_subgraph,
@@ -41,11 +66,13 @@ from repro.locking.base import LockedCircuit
 from repro.locking.genome_lock import genotype_scheme_name
 from repro.locking.key import Key
 from repro.locking.primitives import Gene, primitive_for_gene
-from repro.ml.layers import Param
+from repro.ml.layers import Linear, Param, ReLU
 from repro.ml.losses import bce_with_logits
+from repro.ml.network import Sequential
 from repro.ml.optim import Adam
+from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
-from repro.utils.rng import derive_rng
+from repro.utils.rng import derive_rng, spawn_seeds
 
 
 # ------------------------------------------------------------------ locking
@@ -248,3 +275,226 @@ def scalar_score_links(
         [scalar_score_link(predictor, u, v) for u, v in pairs],
         dtype=np.float64,
     )
+
+
+# ------------------------------------------------------------ MLP features
+def _bounded_distance(graph: ObservedGraph, u: int, v: int, limit: int = 4) -> int:
+    """Shortest-path length u→v up to ``limit`` (limit+1 = unreachable)."""
+    if u == v:
+        return 0
+    dist = {u: 0}
+    frontier = deque([u])
+    while frontier:
+        node = frontier.popleft()
+        d = dist[node]
+        if d == limit:
+            continue
+        for nxt in graph.adj[node]:
+            if nxt == v:
+                return d + 1
+            if nxt not in dist:
+                dist[nxt] = d + 1
+                frontier.append(nxt)
+    return limit + 1
+
+
+def _neighbor_type_histogram(graph: ObservedGraph, u: int) -> np.ndarray:
+    hist = np.zeros(N_TYPES, dtype=np.float64)
+    for nxt in graph.adj[u]:
+        hist[type_index(graph.gtypes[nxt])] += 1.0
+    total = hist.sum()
+    return hist / total if total > 0 else hist
+
+
+def _level_delta_onehot(delta: int) -> np.ndarray:
+    onehot = np.zeros(7, dtype=np.float64)
+    onehot[int(np.clip(delta + 2, 0, 6))] = 1.0
+    return onehot
+
+
+def scalar_link_feature_vector(
+    graph: ObservedGraph, u: int, v: int, keygate_cols: bool = False
+) -> np.ndarray:
+    """Descriptor of ``u → v`` with the edge masked in place if present.
+
+    Removes the edge from ``graph``, runs a full bounded BFS and
+    rebuilds both neighbour histograms, then restores the edge.
+    """
+    removed = graph.remove_undirected(u, v)
+    try:
+        feats = np.zeros(link_feature_dim(keygate_cols), dtype=np.float64)
+        feats[type_index(graph.gtypes[u])] = 1.0
+        feats[N_TYPES + type_index(graph.gtypes[v])] = 1.0
+        base = 2 * N_TYPES
+        deg_u, deg_v = graph.degree(u), graph.degree(v)
+        feats[base + 0] = np.log1p(deg_u)
+        feats[base + 1] = np.log1p(deg_v)
+        feats[base + 2] = np.log1p(min(deg_u, deg_v))
+        base += 3
+        common = graph.adj[u] & graph.adj[v]
+        union = graph.adj[u] | graph.adj[v]
+        feats[base + 0] = float(len(common))
+        feats[base + 1] = len(common) / len(union) if union else 0.0
+        feats[base + 2] = float(
+            sum(1.0 / np.log1p(graph.degree(w)) for w in common if graph.degree(w) > 1)
+        )
+        base += 3
+        dist = _bounded_distance(graph, u, v, limit=4)
+        feats[base + min(dist, 5)] = 1.0
+        base += 6
+        feats[base : base + 7] = _level_delta_onehot(graph.levels[v] - graph.levels[u])
+        base += 7
+        max_level = max(max(graph.levels), 1)
+        feats[base + 0] = graph.levels[u] / max_level
+        feats[base + 1] = graph.levels[v] / max_level
+        base += 2
+        feats[base : base + N_TYPES] = _neighbor_type_histogram(graph, u)
+        feats[base + N_TYPES : base + 2 * N_TYPES] = _neighbor_type_histogram(graph, v)
+        if keygate_cols:
+            ku = graph.keygate_kinds.get(u)
+            if ku is not None:
+                feats[LINK_FEATURE_DIM + KEYGATE_KIND_VOCAB.index(ku)] = 1.0
+            kv = graph.keygate_kinds.get(v)
+            if kv is not None:
+                feats[
+                    LINK_FEATURE_DIM + N_KEYGATE_KINDS + KEYGATE_KIND_VOCAB.index(kv)
+                ] = 1.0
+        return feats
+    finally:
+        if removed:
+            graph.restore_undirected(u, v)
+
+
+def scalar_link_feature_matrix(
+    graph: ObservedGraph,
+    pairs: list[tuple[int, int]],
+    keygate_cols: bool = False,
+) -> np.ndarray:
+    """:func:`scalar_link_feature_vector` stacked row by row."""
+    out = np.zeros((len(pairs), link_feature_dim(keygate_cols)))
+    for row, (u, v) in enumerate(pairs):
+        out[row] = scalar_link_feature_vector(graph, u, v, keygate_cols)
+    return out
+
+
+# ------------------------------------------------------------ MLP training
+def loop_fit(
+    model: Sequential,
+    x: np.ndarray,
+    y: np.ndarray,
+    loss_fn,
+    optimizer,
+    epochs: int = 50,
+    batch_size: int = 64,
+    seed_or_rng=None,
+) -> list[float]:
+    """Minibatch loop gathering ``x[idx]`` per step, full backward pass."""
+    rng = derive_rng(seed_or_rng)
+    n = len(x)
+    history: list[float] = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        losses: list[float] = []
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            out = model.forward(x[idx], train=True)
+            loss, grad = loss_fn(out, y[idx])
+            model.backward(grad)
+            optimizer.step()
+            losses.append(loss)
+        history.append(float(np.mean(losses)))
+    return history
+
+
+def loop_mlp_fit(
+    predictor: MlpLinkPredictor, graph: ObservedGraph, seed_or_rng=None
+) -> None:
+    """Train ``predictor`` like :meth:`MlpLinkPredictor.fit`, the old way.
+
+    Scalar masked features, :func:`loop_fit` and :class:`PerParamAdam`;
+    draws the same pairs, weights and minibatch order.
+    """
+    rng = derive_rng(seed_or_rng)
+    seeds = spawn_seeds(rng, 4)
+    pairs, labels = make_training_pairs(graph, predictor.n_train, seeds[0])
+    if not pairs:
+        raise AttackError("observed graph has no wires to train on")
+    x = scalar_link_feature_matrix(graph, pairs, predictor.keygate_cols)
+    predictor._mu = x.mean(axis=0)
+    predictor._sigma = x.std(axis=0) + 1e-8
+    x_norm = (x - predictor._mu) / predictor._sigma
+    if predictor._col_weights is not None:
+        x_norm = x_norm * predictor._col_weights
+    h1, h2 = predictor.hidden
+    predictor._model = Sequential(
+        [
+            Linear(x.shape[1], h1, seed_or_rng=seeds[1], name="l1"),
+            ReLU(),
+            Linear(h1, h2, seed_or_rng=seeds[2], name="l2"),
+            ReLU(),
+            Linear(h2, 1, seed_or_rng=seeds[3], name="out"),
+        ]
+    )
+    predictor.train_history = loop_fit(
+        predictor._model,
+        x_norm,
+        labels.reshape(-1, 1),
+        bce_with_logits,
+        PerParamAdam(predictor._model.params(), lr=predictor.lr),
+        epochs=predictor.epochs,
+        batch_size=predictor.batch_size,
+        seed_or_rng=rng,
+    )
+    predictor._graph = graph
+
+
+# ----------------------------------------------------------- observed graph
+def rebuild_extract_observed(
+    netlist: Netlist,
+) -> tuple[ObservedGraph, list[MuxQuery]]:
+    """Observed graph via ``add_node``/``add_edge``, re-testing every gate."""
+    key_set = set(netlist.key_inputs)
+    graph = ObservedGraph()
+
+    def is_key_mux(name: str) -> bool:
+        gate = netlist.gates.get(name)
+        return (
+            gate is not None
+            and gate.gtype is GateType.MUX
+            and gate.fanins[0] in key_set
+        )
+
+    for sig in netlist.inputs:
+        graph.add_node(sig, "PI", gate=False)
+    for gate in netlist.gates.values():
+        if not is_key_mux(gate.name):
+            graph.add_node(gate.name, gate.gtype.value, gate=True)
+
+    mux_consumers: dict[str, list[str]] = {}
+    for gate in netlist.gates.values():
+        if is_key_mux(gate.name):
+            continue
+        g_idx = graph.index[gate.name]
+        for src in gate.fanins:
+            if src in key_set:
+                if gate.gtype.value in KEYGATE_KIND_BIT:
+                    graph.keygate_kinds[g_idx] = gate.gtype.value
+                continue
+            if is_key_mux(src):
+                mux_consumers.setdefault(src, []).append(gate.name)
+                continue
+            graph.add_edge(graph.index[src], g_idx)
+
+    queries: list[MuxQuery] = []
+    for gate in netlist.gates.values():
+        if not is_key_mux(gate.name):
+            continue
+        sel, d0, d1 = gate.fanins
+        consumers = tuple(mux_consumers.get(gate.name, ()))
+        if is_key_mux(d0) or is_key_mux(d1):
+            continue
+        queries.append(
+            MuxQuery(mux=gate.name, key_name=sel, d0=d0, d1=d1, consumers=consumers)
+        )
+    graph.compute_levels()
+    return graph, queries

@@ -146,6 +146,38 @@ def test_cli_rejects_negative_n_train_without_traceback(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "predictor, field, value, message",
+    [
+        ("mlp", "batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("mlp", "batch_size", -3, "batch_size must be >= 1, got -3"),
+        ("mlp", "batch_size", 16.0, "batch_size must be an integer, got 16.0"),
+        ("mlp", "batch_size", True, "batch_size must be an integer, got True"),
+        ("mlp", "lr", 0, "lr must be a finite number > 0, got 0"),
+        ("mlp", "lr", -1, "lr must be a finite number > 0, got -1"),
+        ("gnn", "lr", 0, "lr must be a finite number > 0, got 0"),
+        ("gnn", "lr", -1, "lr must be a finite number > 0, got -1"),
+        ("gnn", "lr", "fast", "lr must be a finite number > 0, got 'fast'"),
+        ("mlp", "epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("gnn", "epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("gnn", "epochs", False, "epochs must be an integer, got False"),
+        ("mlp", "n_train", 100.0, "n_train must be an integer, got 100.0"),
+    ],
+)
+def test_cli_rejects_bad_predictor_params_without_traceback(
+    tmp_path, capsys, predictor, field, value, message
+):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "circuit": "c17", "key_length": 2, "attack": "muxlink",
+        "attack_params": {"predictor": predictor, field: value}, "seed": 1,
+    }))
+    assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [f"error: {message}"]
+
+
 def test_muxlink_no_sites_on_rll(rll_locked):
     report = MuxLinkAttack(predictor="bayes").run(rll_locked, seed_or_rng=0)
     assert report.extra["n_sites"] == 0

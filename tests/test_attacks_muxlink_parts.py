@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    loop_mlp_fit,
+    rebuild_extract_observed,
+    scalar_link_feature_matrix,
+)
 from repro.attacks.muxlink import extract_observed
 from repro.attacks.muxlink.features import (
     LINK_FEATURE_DIM,
@@ -21,10 +27,14 @@ from repro.attacks.muxlink.graph import (
     ObservedGraph,
     extract_keygates,
 )
+from repro.attacks.muxlink.mlp_predictor import MlpLinkPredictor
 from repro.attacks.muxlink.subgraph import (
     drnl_from_distances,
     extract_enclosing_subgraph,
 )
+from repro.circuits import load_circuit
+from repro.errors import LockingError
+from repro.locking import DMuxLocking, RandomLogicLocking
 from repro.netlist.gates import GateType
 
 
@@ -272,3 +282,156 @@ def test_make_training_pairs_deterministic(dmux_locked):
     b = make_training_pairs(graph, 60, seed_or_rng=2)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
+
+
+# ------------------------------------------- analytic masking vs oracles
+def _locked_graph(name: str, scheme: str, seed: int):
+    """Observed graph of ``name`` locked by ``scheme`` (None if no sites)."""
+    locker = DMuxLocking("shared") if scheme == "dmux" else RandomLogicLocking()
+    try:
+        locked = locker.lock(load_circuit(name), 4, seed_or_rng=seed)
+    except LockingError:
+        return None, []
+    return extract_observed(locked.netlist)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.one_of(
+        st.builds(
+            "rand_{}_{}".format,
+            st.integers(min_value=20, max_value=160),
+            st.integers(min_value=0, max_value=10**6),
+        ),
+        st.sampled_from(["c432_syn", "c880_syn", "c1355_syn"]),
+    ),
+    scheme=st.sampled_from(["dmux", "rll"]),
+    seed=st.integers(min_value=0, max_value=10**6),
+    keygate_cols=st.booleans(),
+    data=st.data(),
+)
+def test_link_feature_matrix_is_the_masking_oracle(
+    name, scheme, seed, keygate_cols, data
+):
+    """Every row equals masking the edge in place and extracting the pair
+    alone: edges both ways, non-edges, u == v, duplicates, query links."""
+    if name.endswith("_syn"):
+        scheme = "dmux"
+    graph, queries = _locked_graph(name, scheme, seed)
+    if graph is None or not graph.directed_edges:
+        return
+    edges = graph.directed_edges
+    n = graph.n_nodes
+    picked = data.draw(
+        st.lists(st.integers(0, len(edges) - 1), min_size=1, max_size=25)
+    )
+    pairs = [edges[i] for i in picked]
+    pairs += [(v, u) for u, v in pairs[:8]]
+    pairs += data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=25,
+        )
+    )
+    pairs += [(u, u) for u, _ in pairs[:3]] + pairs[:4]
+    for q in queries:
+        for c in q.consumers:
+            pairs += [(graph.index[q.d0], graph.index[c]),
+                      (graph.index[q.d1], graph.index[c])]
+    pairs += make_training_pairs(graph, 60, seed_or_rng=seed)[0]
+    version = graph._adj_version
+    adjacency = [list(s) for s in graph.adj]
+
+    fast = link_feature_matrix(graph, pairs, keygate_cols=keygate_cols)
+
+    assert graph._adj_version == version, "extraction must not mask in place"
+    assert [list(s) for s in graph.adj] == adjacency
+    ref = scalar_link_feature_matrix(graph, pairs, keygate_cols=keygate_cols)
+    assert np.array_equal(fast, ref)
+    u, v = pairs[0]
+    assert np.array_equal(
+        link_feature_vector(graph, u, v, keygate_cols=keygate_cols), ref[0]
+    )
+
+
+@pytest.mark.parametrize(
+    "name, scheme, kwargs",
+    [
+        ("rand_150_5", "dmux", {"epochs": 6, "n_train": 200, "batch_size": 48}),
+        ("c432_syn", "dmux", {"epochs": 4}),
+        (
+            "rand_120_3",
+            "rll",
+            {
+                "epochs": 5,
+                "n_train": 150,
+                "batch_size": 32,
+                "keygate_cols": True,
+                "feature_weights": {"hist": 2.0, "distance": 0.5},
+            },
+        ),
+    ],
+    ids=["rand-ragged", "c432-default-batch", "keygate-weighted"],
+)
+def test_mlp_fit_is_bitwise_the_oracle_loop(name, scheme, kwargs):
+    """Analytic masking + the slice-per-step loop + flat Adam train the
+    same weights as scalar masking + the gather loop + per-param Adam."""
+    graph, queries = _locked_graph(name, scheme, 7)
+    fast = MlpLinkPredictor(**kwargs)
+    ref = MlpLinkPredictor(**kwargs)
+    fast.fit(graph, 11)
+    loop_mlp_fit(ref, graph, 11)
+
+    assert fast.train_history == ref.train_history
+    for p, q in zip(fast._model.params(), ref._model.params(), strict=True):
+        assert np.array_equal(p.value, q.value), p.name
+    pairs = make_training_pairs(graph, 80, seed_or_rng=2)[0]
+    for q in queries:
+        pairs += [(graph.index[q.d0], graph.index[c]) for c in q.consumers]
+    assert np.array_equal(fast.score_links(pairs), ref.score_links(pairs))
+
+
+def test_mlp_fit_never_masks_the_graph(dmux_locked):
+    graph, _ = extract_observed(dmux_locked.netlist)
+    version = graph._adj_version
+    adjacency = [list(s) for s in graph.adj]
+    MlpLinkPredictor(epochs=2, n_train=120).fit(graph, 3)
+    assert graph._adj_version == version
+    assert [list(s) for s in graph.adj] == adjacency
+
+
+@pytest.mark.parametrize(
+    "name, scheme",
+    [
+        ("c17", None),
+        ("rand_150_5", "dmux"),
+        ("rand_150_5", "rll"),
+        ("c1355_syn", "dmux"),
+        ("c7552_syn", "dmux"),
+    ],
+)
+def test_extract_observed_is_the_rebuild_builder(name, scheme):
+    """Same nodes, adjacency insertion order, wires, levels, key-gate
+    kinds, queries and adjacency version as add_node/add_edge."""
+    netlist = load_circuit(name)
+    if scheme == "dmux":
+        netlist = DMuxLocking("shared").lock(netlist, 8, seed_or_rng=4).netlist
+    elif scheme == "rll":
+        netlist = RandomLogicLocking().lock(netlist, 8, seed_or_rng=4).netlist
+    fast, fast_q = extract_observed(netlist)
+    ref, ref_q = rebuild_extract_observed(netlist)
+
+    assert fast.nodes == ref.nodes
+    assert list(fast.index.items()) == list(ref.index.items())
+    assert fast.gtypes == ref.gtypes
+    assert fast.is_gate == ref.is_gate
+    assert [list(s) for s in fast.adj] == [list(s) for s in ref.adj]
+    assert fast.directed_edges == ref.directed_edges
+    assert fast.levels == ref.levels
+    assert list(fast.keygate_kinds.items()) == list(ref.keygate_kinds.items())
+    assert fast._adj_version == ref._adj_version
+    assert fast_q == ref_q
+    if scheme == "rll":
+        assert fast.keygate_kinds, "RLL key gates must be annotated"
+    elif scheme == "dmux":
+        assert fast_q, "D-MUX sites must become queries"

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CnfError
-from repro.sat import CdclSolver, Cnf, DpllSolver
+from dpll import DpllSolver
+from repro.sat import CdclSolver, Cnf
 from repro.sat.cdcl import IncrementalSolver, luby, solve_cnf
 
 

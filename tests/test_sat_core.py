@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import CnfError
-from repro.sat import Cnf, DpllSolver, parse_dimacs, write_dimacs
+from dpll import DpllSolver
+from repro.sat import Cnf, parse_dimacs, write_dimacs
 from repro.sat.dimacs import parse_dimacs_file, write_dimacs_file
 
 
