@@ -163,7 +163,14 @@ def _resolve_pins(netlist: Netlist, gene: MuxGene) -> tuple[int, int]:
 
 
 def _check_gene(netlist: Netlist, gene: MuxGene) -> tuple[int, int]:
-    """Full applicability check; returns resolved pins or raises."""
+    """Full applicability check; returns resolved pins or raises.
+
+    The two reachability checks reject pairings that would close a
+    combinational cycle. On the copy-on-write views that relocking and
+    breeding use, :meth:`~repro.netlist.netlist.Netlist.has_path` prunes
+    them with the view's maintained topological index, so each check
+    visits only signals ordered between its two endpoints.
+    """
     if gene.f_i == gene.f_j:
         raise LockingError(f"gene drivers must differ, both are {gene.f_i!r}")
     if gene.g_i == gene.g_j:

@@ -14,7 +14,7 @@ sampled, repaired or validated genotype while breeding
 fanout rebuilds, one full Kahn sort and one full lockable-wire scan
 (see ``benchmarks/bench_delta_relock.py``).
 
-The view changes three behaviours:
+The view changes four behaviours:
 
 * **Incremental fanouts.** The fanout map starts as a shallow snapshot
   of the base's map, sharing the base's per-signal consumer lists. A
@@ -27,6 +27,14 @@ The view changes three behaviours:
   mutating; the view's owner (``lock_with_genes``, the genotype
   functions) runs one full :meth:`topological_order` per genotype at the
   end, so every genotype is still verified — once, not once per gene.
+* **Maintained topological index.** The view starts with a copy of the
+  base's :class:`~repro.netlist.order.TopoIndex` and keeps it exact with
+  the Pearce–Kelly dynamic topological sort: a new gate is labelled just
+  above its highest fanin, and an added edge reorders only the region
+  between its endpoints. :meth:`~repro.netlist.netlist.Netlist.has_path`
+  prunes its search with it, so the gene-level reachability checks stop
+  walking whole fanout cones. A mutation that closes a cycle drops the
+  index (``has_path`` then searches unbounded); it never raises.
 * **Retained lockable-wire pool.** The view starts with the base's
   cached pool and mutations keep it. Applying a gene of any registered
   primitive removes exactly that gene's own wires from the pool (the
@@ -41,11 +49,13 @@ The gates dict is copied from the base (gates are immutable, so a dict
 copy is a deep copy), and insertion order matches a scratch
 ``base.copy()`` build exactly — every iteration-order-sensitive consumer
 (graph extraction, simulation, metrics) sees the identical structure.
-The cached topological order is still invalidated by mutations and
-recomputed lazily.
+The cached topological order (the exact list simulation, SAT encoding
+and the writers consume) is still invalidated by mutations and
+recomputed lazily by the Kahn sort that also checks acyclicity.
 
 A pickled view drops its caches like any netlist and rebuilds its fanout
-map (now private to it) on unpickle, so it never needs its base.
+map (now private to it) on unpickle, so it never needs its base; its
+topological index is rebuilt on the next ``has_path``.
 """
 
 from __future__ import annotations
@@ -74,17 +84,20 @@ class CowNetlist(Netlist):
         view = cls(name or base.name)
         view.inputs = list(base.inputs)
         view.key_inputs = list(base.key_inputs)
+        view._input_names = set(base._input_names)
         view.outputs = list(base.outputs)
         view.gates = dict(base.gates)
         # Shallow snapshot: per-signal lists are shared with the base
         # until a mutation owns them.
         view._fanout_cache = dict(base.fanouts())
         view._owned = set()
+        index = base._order_index()
+        view._order_cache = None if index is None else index.copy()
         view._lockable_cache = base._lockable_cache
         return view
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        super().__setstate__(state)
         # Pickling dropped the fanout map, and a view never rebuilds it
         # on demand; rebuild it here, owned outright.
         self._fanout_cache = Netlist.fanouts(self)
@@ -96,9 +109,22 @@ class CowNetlist(Netlist):
     def _invalidate(self) -> None:
         # Mutations still invalidate the topological order (recomputed
         # lazily, at most once per candidate), but never the fanout map
-        # (the overridden mutators below patch it incrementally) nor the
-        # lockable-wire pool (kept under the pool contract).
+        # or the topological index (the overridden mutators below patch
+        # them incrementally) nor the lockable-wire pool (kept under the
+        # pool contract).
         self._topo_cache = None
+
+    def _place(self, name: str, fanins=()) -> None:
+        if self._order_cache is not None:
+            self._order_cache.place(name, fanins)
+
+    def _link(self, src: str, gate_name: str) -> None:
+        """Restore the topological index after edge ``src → gate_name``."""
+        index = self._order_cache
+        if index is not None and not index.add_edge(
+            src, gate_name, self._fanout_cache, self.gates
+        ):
+            self._order_cache = None  # cyclic: has_path searches unbounded
 
     def _own(self, signal: str) -> list[tuple[str, int]]:
         """The private (mutable) fanout list of ``signal``."""
@@ -118,17 +144,19 @@ class CowNetlist(Netlist):
         insertions before any mutation happens)."""
 
     # ------------------------------------------------------------------
-    # mutators (base behaviour + incremental fanout patches)
+    # mutators (base behaviour + incremental fanout and order patches)
     # ------------------------------------------------------------------
     def add_input(self, name: str) -> None:
         super().add_input(name)
         self._fanout_cache[name] = []
         self._owned.add(name)
+        self._place(name)
 
     def add_key_input(self, name: str) -> None:
         super().add_key_input(name)
         self._fanout_cache[name] = []
         self._owned.add(name)
+        self._place(name)
 
     def add_gate(self, name: str, gtype: GateType, fanins) -> "Gate":
         gate = super().add_gate(name, gtype, fanins)
@@ -136,6 +164,7 @@ class CowNetlist(Netlist):
         self._owned.add(name)
         for pin, src in enumerate(gate.fanins):
             self._own(src).append((name, pin))
+        self._place(name, gate.fanins)
         return gate
 
     def remove_gate(self, name: str) -> None:
@@ -145,6 +174,8 @@ class CowNetlist(Netlist):
             self._own(src).remove((name, pin))
         del self._fanout_cache[name]
         self._owned.discard(name)
+        if self._order_cache is not None:
+            self._order_cache.drop(name)
 
     def rewire_pin(self, gate_name: str, pin: int, new_src: str) -> None:
         gate = self.gates.get(gate_name)
@@ -155,8 +186,10 @@ class CowNetlist(Netlist):
         if old_src is not None:
             self._own(old_src).remove((gate_name, pin))
         self._own(new_src).append((gate_name, pin))
+        self._link(new_src, gate_name)
 
     def widen_gate(self, gate_name: str, new_src: str) -> None:
         super().widen_gate(gate_name, new_src)
         pin = len(self.gates[gate_name].fanins) - 1
         self._own(new_src).append((gate_name, pin))
+        self._link(new_src, gate_name)

@@ -11,13 +11,13 @@ attacks are built on.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator
 
 import networkx as nx
 
 from repro.errors import NetlistError
 from repro.netlist.gates import Gate, GateType
+from repro.netlist.order import TopoIndex
 
 
 class Netlist:
@@ -30,9 +30,11 @@ class Netlist:
 
     Notes
     -----
-    Mutation invalidates the cached topological order, fanout map and
-    lockable-wire pool (see :func:`repro.locking.dmux.lockable_wires`);
-    caches are rebuilt lazily on the next query and never pickled. All
+    Mutation invalidates the cached topological order, fanout map,
+    topological index (see :mod:`repro.netlist.order`) and lockable-wire
+    pool (see :func:`repro.locking.dmux.lockable_wires`); caches are
+    rebuilt lazily on the next query and never pickled. The set of input
+    and key-input names is kept up to date by the mutators instead. All
     mutating methods validate their arguments eagerly so a netlist can
     never hold a dangling reference, but acyclicity is only enforced when
     a topological order is requested (or via
@@ -46,8 +48,10 @@ class Netlist:
         self.key_inputs: list[str] = []
         self.outputs: list[str] = []
         self.gates: dict[str, Gate] = {}
+        self._input_names: set[str] = set()
         self._topo_cache: list[str] | None = None
         self._fanout_cache: dict[str, list[tuple[str, int]]] | None = None
+        self._order_cache: TopoIndex | None = None
         self._lockable_cache: tuple[tuple[str, str], ...] | None = None
 
     def __getstate__(self) -> dict:
@@ -57,7 +61,13 @@ class Netlist:
         state["_topo_cache"] = None
         state["_fanout_cache"] = None
         state["_lockable_cache"] = None
+        del state["_input_names"], state["_order_cache"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._input_names = set(self.inputs) | set(self.key_inputs)
+        self._order_cache = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -75,10 +85,7 @@ class Netlist:
 
     def is_signal(self, name: str) -> bool:
         """True if ``name`` names an input, key input, or gate output."""
-        return name in self.gates or name in self._input_set()
-
-    def _input_set(self) -> set[str]:
-        return set(self.inputs) | set(self.key_inputs)
+        return name in self.gates or name in self._input_names
 
     def __contains__(self, name: str) -> bool:
         return self.is_signal(name)
@@ -107,12 +114,14 @@ class Netlist:
         """Declare a new primary input signal."""
         self._check_fresh(name)
         self.inputs.append(name)
+        self._input_names.add(name)
         self._invalidate()
 
     def add_key_input(self, name: str) -> None:
         """Declare a new key input signal (locked designs only)."""
         self._check_fresh(name)
         self.key_inputs.append(name)
+        self._input_names.add(name)
         self._invalidate()
 
     def add_output(self, name: str) -> None:
@@ -196,6 +205,7 @@ class Netlist:
     def _invalidate(self) -> None:
         self._topo_cache = None
         self._fanout_cache = None
+        self._order_cache = None
         self._lockable_cache = None
 
     # ------------------------------------------------------------------
@@ -223,19 +233,20 @@ class Netlist:
         """
         if self._topo_cache is not None:
             return self._topo_cache
-        indeg: dict[str, int] = {}
-        for gate in self.gates.values():
-            indeg[gate.name] = sum(1 for src in gate.fanins if src in self.gates)
-        ready = deque(sorted(n for n, d in indeg.items() if d == 0))
         fanouts = self.fanouts()
-        order: list[str] = []
-        while ready:
-            name = ready.popleft()
-            order.append(name)
-            for consumer, _pin in fanouts.get(name, []):
-                indeg[consumer] -= 1
-                if indeg[consumer] == 0:
-                    ready.append(consumer)
+        indeg = dict.fromkeys(self.gates, 0)
+        for name in self.gates:
+            for consumer, _pin in fanouts[name]:
+                indeg[consumer] += 1
+        # FIFO from the sorted roots: the growing list is its own queue.
+        order = sorted([name for name, d in indeg.items() if not d])
+        push = order.append
+        for name in order:
+            for consumer, _pin in fanouts[name]:
+                d = indeg[consumer] - 1
+                indeg[consumer] = d
+                if not d:
+                    push(consumer)
         if len(order) != len(self.gates):
             stuck = sorted(set(self.gates) - set(order))[:5]
             raise NetlistError(
@@ -256,7 +267,7 @@ class Netlist:
 
     def levels(self) -> dict[str, int]:
         """Logic level of each signal: inputs at 0, gates at 1 + max(fanins)."""
-        level: dict[str, int] = {s: 0 for s in self._input_set()}
+        level: dict[str, int] = dict.fromkeys(self._input_names, 0)
         for name in self.topological_order():
             gate = self.gates[name]
             if gate.fanins:
@@ -270,27 +281,51 @@ class Netlist:
         lv = self.levels()
         return max(lv.values(), default=0)
 
+    def _order_index(self) -> TopoIndex | None:
+        """The topological index, or ``None`` while the netlist is cyclic."""
+        if self._order_cache is None:
+            try:
+                order = self.topological_order()
+            except NetlistError:
+                return None
+            self._order_cache = TopoIndex(
+                [*self.inputs, *self.key_inputs, *order]
+            )
+        return self._order_cache
+
     def has_path(self, src: str, dst: str) -> bool:
         """True if a directed path ``src`` ⇝ ``dst`` exists (src == dst counts).
 
         Used by MUX insertion to reject pairings that would create a
-        combinational cycle.
+        combinational cycle. Every signal on such a path is labelled
+        below ``dst`` in the topological index, so the answer is
+        ``False`` at once when ``dst`` is labelled below ``src``, and the
+        search otherwise visits only consumers labelled below ``dst``. A
+        cyclic netlist has no index and is searched without that bound.
         """
         if not self.is_signal(src) or not self.is_signal(dst):
             raise NetlistError(f"has_path: unknown signal {src!r} or {dst!r}")
         if src == dst:
             return True
+        index = self._order_index()
+        ord_ = limit = None
+        if index is not None:
+            ord_ = index.ord
+            limit = ord_[dst]
+            if limit < ord_[src]:
+                return False
         fanouts = self.fanouts()
         seen = {src}
-        frontier = deque([src])
-        while frontier:
-            sig = frontier.popleft()
-            for consumer, _pin in fanouts.get(sig, []):
+        stack = [src]
+        while stack:
+            for consumer, _pin in fanouts[stack.pop()]:
                 if consumer == dst:
                     return True
-                if consumer not in seen:
+                if consumer not in seen and (
+                    limit is None or ord_[consumer] < limit
+                ):
                     seen.add(consumer)
-                    frontier.append(consumer)
+                    stack.append(consumer)
         return False
 
     def transitive_fanin(self, signal: str) -> set[str]:
@@ -337,6 +372,7 @@ class Netlist:
         dup = Netlist(name or self.name)
         dup.inputs = list(self.inputs)
         dup.key_inputs = list(self.key_inputs)
+        dup._input_names = set(self._input_names)
         dup.outputs = list(self.outputs)
         dup.gates = dict(self.gates)
         return dup

@@ -4,6 +4,14 @@
 unoptimised versions they replaced live here so tests and the
 micro-benchmarks can check (and time) the fast paths against them:
 
+* :func:`bfs_has_path` — reachability as an unbounded breadth-first
+  search over the whole fanout cone. :meth:`~repro.netlist.netlist.
+  Netlist.has_path`, pruned by the topological index, must give the
+  same answer on every query.
+* :func:`deque_topological_order` — the Kahn sort counting in-degrees
+  from the fanins with a ``deque`` of ready gates;
+  :meth:`~repro.netlist.netlist.Netlist.topological_order` must return
+  the identical list (and the identical cycle error).
 * :func:`scratch_lock_with_genes` — the gene-application loop on a plain
   ``Netlist.copy()``: every insertion invalidates and rebuilds the full
   fanout map, topological order and lockable-wire pool.
@@ -61,7 +69,7 @@ from repro.attacks.muxlink.subgraph import (
     extract_enclosing_subgraph,
     extract_enclosing_subgraphs,
 )
-from repro.errors import AttackError, LockingError
+from repro.errors import AttackError, LockingError, NetlistError
 from repro.locking.base import LockedCircuit
 from repro.locking.genome_lock import genotype_scheme_name
 from repro.locking.key import Key
@@ -73,6 +81,50 @@ from repro.ml.optim import Adam
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.utils.rng import derive_rng, spawn_seeds
+
+
+# ------------------------------------------------------------------ netlist
+def bfs_has_path(netlist: Netlist, src: str, dst: str) -> bool:
+    """True if a directed path ``src`` ⇝ ``dst`` exists (src == dst counts)."""
+    if not netlist.is_signal(src) or not netlist.is_signal(dst):
+        raise NetlistError(f"has_path: unknown signal {src!r} or {dst!r}")
+    if src == dst:
+        return True
+    fanouts = netlist.fanouts()
+    seen = {src}
+    frontier = deque([src])
+    while frontier:
+        sig = frontier.popleft()
+        for consumer, _pin in fanouts.get(sig, []):
+            if consumer == dst:
+                return True
+            if consumer not in seen:
+                seen.add(consumer)
+                frontier.append(consumer)
+    return False
+
+
+def deque_topological_order(netlist: Netlist) -> list[str]:
+    """Gate names in dependency order; raises on a combinational cycle."""
+    indeg: dict[str, int] = {}
+    for gate in netlist.gates.values():
+        indeg[gate.name] = sum(1 for src in gate.fanins if src in netlist.gates)
+    ready = deque(sorted(n for n, d in indeg.items() if d == 0))
+    fanouts = netlist.fanouts()
+    order: list[str] = []
+    while ready:
+        name = ready.popleft()
+        order.append(name)
+        for consumer, _pin in fanouts.get(name, []):
+            indeg[consumer] -= 1
+            if indeg[consumer] == 0:
+                ready.append(consumer)
+    if len(order) != len(netlist.gates):
+        stuck = sorted(set(netlist.gates) - set(order))[:5]
+        raise NetlistError(
+            f"combinational cycle detected involving gates near {stuck}"
+        )
+    return order
 
 
 # ------------------------------------------------------------------ locking

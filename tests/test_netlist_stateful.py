@@ -1,9 +1,12 @@
 """Stateful property test: arbitrary mutation sequences keep invariants.
 
-Hypothesis drives random sequences of netlist operations (add input/gate,
-rewire, widen, mark output) and checks after every step that the netlist
-stays structurally valid, acyclic and self-consistent — the guarantees the
-locking transformations and the GA's repair logic rely on.
+Hypothesis drives random sequences of netlist operations (add input/key
+input/gate, remove an unused gate, rewire, widen, mark output) and checks
+after every step that the netlist stays structurally valid, acyclic and
+self-consistent — the guarantees the locking transformations and the GA's
+repair logic rely on. The same machine runs on a plain ``Netlist`` and on
+a copy-on-write view, whose maintained topological index must stay exact
+and whose reachability answers must match the unbounded search.
 """
 
 from __future__ import annotations
@@ -12,18 +15,29 @@ import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from oracles import bfs_has_path
 from repro.errors import NetlistError
 from repro.netlist import GateType, Netlist, validate_netlist
+from repro.netlist.cow import CowNetlist
 
 _BINARY_TYPES = [GateType.AND, GateType.NAND, GateType.OR, GateType.XOR]
 
 
 class NetlistMachine(RuleBasedStateMachine):
+    # A view keeps its topological index across mutations; a plain
+    # netlist drops it and rebuilds it on the next query.
+    maintains_index = False
+
     def __init__(self) -> None:
         super().__init__()
-        self.netlist = Netlist("stateful")
-        self.netlist.add_input("seed_input")
+        self.netlist = self.make_netlist()
         self.counter = 0
+
+    @staticmethod
+    def make_netlist() -> Netlist:
+        netlist = Netlist("stateful")
+        netlist.add_input("seed_input")
+        return netlist
 
     # ------------------------------------------------------------- helpers
     def _fresh(self, prefix: str) -> str:
@@ -37,6 +51,10 @@ class NetlistMachine(RuleBasedStateMachine):
     @rule()
     def add_input(self) -> None:
         self.netlist.add_input(self._fresh("in"))
+
+    @rule()
+    def add_key_input(self) -> None:
+        self.netlist.add_key_input(self._fresh("key"))
 
     @rule(data=st.data())
     def add_unary_gate(self, data) -> None:
@@ -84,6 +102,26 @@ class NetlistMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: len(self.netlist.gates) > 0)
     @rule(data=st.data())
+    def remove_unused_gate(self, data) -> None:
+        fanouts = self.netlist.fanouts()
+        unused = [
+            n for n in self.netlist.gates
+            if not fanouts[n] and n not in self.netlist.outputs
+        ]
+        if unused:
+            self.netlist.remove_gate(data.draw(st.sampled_from(sorted(unused))))
+
+    @rule(data=st.data())
+    def has_path_matches_oracle(self, data) -> None:
+        signals = self._signals()
+        for _ in range(8):
+            src = data.draw(st.sampled_from(signals))
+            dst = data.draw(st.sampled_from(signals))
+            expected = bfs_has_path(self.netlist, src, dst)
+            assert self.netlist.has_path(src, dst) == expected
+
+    @precondition(lambda self: len(self.netlist.gates) > 0)
+    @rule(data=st.data())
     def mark_output(self, data) -> None:
         candidates = [
             g for g in self.netlist.gates if g not in self.netlist.outputs
@@ -113,6 +151,18 @@ class NetlistMachine(RuleBasedStateMachine):
                     assert position[src] < position[gate.name]
 
     @invariant()
+    def order_index_respects_dependencies(self) -> None:
+        if self.maintains_index:
+            assert self.netlist._order_cache is not None
+        index = self.netlist._order_index()
+        assert index is not None
+        assert set(index.ord) == set(self.netlist.signals())
+        assert len(set(index.ord.values())) == len(index.ord)
+        for gate in self.netlist.gates.values():
+            for src in gate.fanins:
+                assert index.ord[src] < index.ord[gate.name]
+
+    @invariant()
     def fanouts_match_fanins(self) -> None:
         count_from_fanouts = sum(
             len(v) for v in self.netlist.fanouts().values()
@@ -132,10 +182,23 @@ class NetlistMachine(RuleBasedStateMachine):
                 )
 
 
-NetlistMachine.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None
-)
+class CowNetlistMachine(NetlistMachine):
+    """The same rules on a copy-on-write view, whose fanout map and
+    topological index are patched per mutation instead of rebuilt."""
+
+    maintains_index = True
+
+    @staticmethod
+    def make_netlist() -> Netlist:
+        return CowNetlist.from_base(NetlistMachine.make_netlist())
+
+
+for _machine in (NetlistMachine, CowNetlistMachine):
+    _machine.TestCase.settings = settings(
+        max_examples=25, stateful_step_count=30, deadline=None
+    )
 TestNetlistStateful = NetlistMachine.TestCase
+TestCowNetlistStateful = CowNetlistMachine.TestCase
 
 
 def test_rewire_to_descendant_is_detectable():
